@@ -14,15 +14,13 @@ from typing import Callable
 
 from .decomposition import (
     Decomposition,
-    bfs_node_order,
     decomposition_diversity,
     decomposition_rank,
+    origin,
     outside_partition,
     piece_graph,
     restrict,
     root_normalize,
-    rooted_parents,
-    subtree_preimages,
 )
 from .errors import ContractError, InputError
 from .graph import Graph, bitset, connected_components, induced_subgraph, is_connected, iter_bits, twin_classes
@@ -143,9 +141,8 @@ def key_lemma_coloring(
     if diversity > d:
         raise ContractError(f"decomposition diversity {diversity} exceeds budget {d}")
 
-    order = bfs_node_order(dec)
-    parent, _ = rooted_parents(dec)
-    pre = subtree_preimages(g, dec)
+    view = dec.view
+    order, parent, pre = view.order, view.parent, view.pre
     classes = {v: outside_partition(g, dec, v) for v in order[1:]}
     class_of: dict[int, dict[int, int]] = {}
     for v, parts in classes.items():
@@ -170,15 +167,17 @@ def key_lemma_coloring(
         if check and uncolored != classes[v][0]:
             raise ContractError("uncolored subtree vertices differ from class zero")
 
-        piece = piece_graph(g, dec, v)
-        w_list = [
-            u
-            for u in iter_bits(classes[v][0])
-            if piece.adj[u] or dec.tau[u] == v
-        ]
+        w_list: list[int] = []
+        if classes[v][0]:  # else every vertex of V_v is colored already
+            piece = piece_graph(g, dec, v)
+            w_list = [
+                u
+                for u in iter_bits(classes[v][0])
+                if piece.adj[u] or dec.tau[u] == v
+            ]
         if not w_list:
             if check:
-                _check_step(g, dec, order[:step], phi, classes, parent)
+                _check_step(g, dec, order[:step], phi, classes)
             continue
 
         psi1 = _twin_consistent_proper_coloring(piece, oracle, k)
@@ -207,7 +206,7 @@ def key_lemma_coloring(
             colored_mask |= 1 << u
 
         if check:
-            _check_step(g, dec, order[:step], phi, classes, parent)
+            _check_step(g, dec, order[:step], phi, classes)
 
     if len(phi) != g.n:
         raise ContractError("construction left some vertex uncolored")
@@ -223,14 +222,11 @@ def _check_step(
     processed: list[int],
     phi: dict[int, int],
     classes: dict[int, list[int]],
-    parent: list[int],
 ) -> None:
     """Debug-mode verification of the four inductive step properties."""
     processed_set = set(processed)
     # property 2: vertices incident to edges with processed origin are colored,
     # as are all vertices mapped to processed nodes
-    from .decomposition import origin  # local import to avoid cycle clutter
-
     for u, w in g.edges():
         if origin(dec, u, w) in processed_set:
             if u not in phi or w not in phi:
@@ -278,9 +274,9 @@ def chi_bounded_coloring(
         raise ContractError(
             f"decomposition rank {rank} exceeds budget {bound.rank_budget}"
         )
-    result = _color_recursive(g, dec, oracle, bound, check)
+    omega = clique_number(g)
+    result = _color_recursive(g, dec, oracle, bound, check, omega)
     if g.n:
-        omega = clique_number(g)
         if not is_proper(g, result):
             raise ContractError("constructed coloring is not proper")
         if result.palette_size > color_bound(bound, omega):
@@ -294,10 +290,11 @@ def _color_recursive(
     oracle: NodeColoringOracle,
     bound: ChiBoundFn,
     check: bool,
+    omega: int,
 ) -> Coloring:
+    """Coloring of g within color_bound(bound, omega), where omega = ω(g)."""
     if g.n == 0:
         return Coloring(())
-    omega = clique_number(g)
     if omega <= 1:
         return Coloring((1,) * g.n)
 
@@ -307,7 +304,7 @@ def _color_recursive(
         colors = [0] * g.n
         for comp in comps:
             sub_g, sub_d, remap = restrict(g, dec, comp)
-            sub = _color_recursive(sub_g, sub_d, oracle, bound, check)
+            sub = _color_recursive(sub_g, sub_d, oracle, bound, check, clique_number(sub_g))
             for old, new in remap.items():
                 colors[old] = sub.colors[new]
         return Coloring(tuple(colors))
@@ -323,9 +320,10 @@ def _color_recursive(
     for c in outer_colors:
         mask = bitset(u for u in range(g.n) if phi.colors[u] == c)
         sub_g, sub_d, remap = restrict(g, dec, mask)
-        if sub_g.n and clique_number(sub_g) >= omega:
+        sub_omega = clique_number(sub_g)
+        if sub_omega >= omega:
             raise ContractError("a color class kept the clique number")
-        sub = _color_recursive(sub_g, sub_d, oracle, bound, check)
+        sub = _color_recursive(sub_g, sub_d, oracle, bound, check, sub_omega)
         inner[c] = sub
         remaps[c] = remap
         widest = max(widest, sub.palette_size)
@@ -364,31 +362,16 @@ class JoinTree:
         p = len(self.pieces)
         if p < 1:
             raise InputError("join tree needs at least one piece")
-        if len(self.joins) != p - 1:
-            raise InputError("join edges must form a tree over the pieces")
-        adj: list[list[int]] = [[] for _ in range(p)]
+        # raises unless the joins form a tree over the pieces
+        Decomposition(p, tuple((e.left, e.right) for e in self.joins), ())
         markers: dict[int, set[int]] = {i: set() for i in range(p)}
         for e in self.joins:
-            if not (0 <= e.left < p and 0 <= e.right < p) or e.left == e.right:
-                raise InputError(f"bad join edge ({e.left},{e.right})")
             for piece, marker in ((e.left, e.left_marker), (e.right, e.right_marker)):
                 if not 0 <= marker < self.pieces[piece].n:
                     raise InputError(f"marker {marker} out of range in piece {piece}")
                 if marker in markers[piece]:
                     raise InputError(f"marker {marker} of piece {piece} used twice")
                 markers[piece].add(marker)
-            adj[e.left].append(e.right)
-            adj[e.right].append(e.left)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != p:
-            raise InputError("join edges must form a connected tree")
 
 
 def _marker_sets(jt: JoinTree) -> tuple[dict[tuple[int, int], int], list[list[int]]]:

@@ -3,73 +3,128 @@
 A decomposition is a tree T over dense node ids together with a total map tau
 from graph vertices to tree nodes.  Every tree edge induces a cut of the
 graph; the rank/diversity of the decomposition is the maximum over its edges.
-Rank-decompositions (cubic trees with vertices bijectively on the leaves) and
-exhaustive exact rank-width search live here too.
+
+All cuts, pieces, outside classes and origins are read off one rooted view
+(Decomposition.view), built by a single breadth-first pass from the root, or
+node 0 when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the
+vertices mapped into the subtree at v, so rank and diversity take one pass
+over the nodes and a piece graph one bitset mask per vertex.  Restrictions
+share the tree part of the view and rebuild only pre.  Rank-decompositions
+and exhaustive exact rank-width search live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
+from functools import cached_property
 
 from .config import LIMITS
-from .cuts import cut_diversity, cut_matrix, cut_rank, cut_rank_of
+from .cuts import cut_rank_of
 from .errors import InputError, ResourceError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
 
 
 @dataclass(frozen=True)
+class RootedView:
+    """The tree in BFS order from root over ascending adj; parent[root] is -1.
+
+    pre[x] is the bitset of vertices mapped into the subtree at x; it is
+    empty in the tree-only part that restrictions share.
+    """
+
+    root: int
+    adj: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    parent: tuple[int, ...]
+    depth: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    pre: tuple[int, ...] = ()
+
+
+def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: int) -> RootedView:
+    """Breadth-first pass from root; raises InputError unless the edges form a tree."""
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    for a, b in tree_edges:
+        if not (0 <= a < num_nodes and 0 <= b < num_nodes) or a == b:
+            raise InputError(f"bad tree edge ({a},{b})")
+        adj[a].append(b)
+        adj[b].append(a)
+    for nbrs in adj:
+        nbrs.sort()
+    parent = [-1] * num_nodes
+    depth = [0] * num_nodes
+    children: list[list[int]] = [[] for _ in range(num_nodes)]
+    seen = [False] * num_nodes
+    seen[root] = True
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                children[x].append(y)
+                order.append(y)
+    if len(order) != num_nodes:
+        raise InputError("tree edges do not form a connected tree")
+    return RootedView(
+        root,
+        tuple(map(tuple, adj)),
+        tuple(order),
+        tuple(parent),
+        tuple(depth),
+        tuple(map(tuple, children)),
+    )
+
+
+@dataclass(frozen=True)
 class Decomposition:
-    """Tree over num_nodes node ids plus tau: vertex index -> node id."""
+    """Tree over num_nodes node ids plus tau: vertex index -> node id.
+
+    shared_tree, the tree-only view of a decomposition with the same tree and
+    root, is trusted instead of rebuilt.
+    """
 
     num_nodes: int
     tree_edges: tuple[tuple[int, int], ...]
     tau: tuple[int, ...]
     root: int | None = None
+    shared_tree: InitVar[RootedView | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shared_tree: RootedView | None) -> None:
         k = self.num_nodes
         if k < 1:
             raise InputError("decomposition needs at least one node")
         if len(self.tree_edges) != k - 1:
             raise InputError("tree must have exactly num_nodes - 1 edges")
-        adj: list[list[int]] = [[] for _ in range(k)]
-        for a, b in self.tree_edges:
-            if not (0 <= a < k and 0 <= b < k) or a == b:
-                raise InputError(f"bad tree edge ({a},{b})")
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = [False] * k
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    stack.append(y)
-        if count != k:
-            raise InputError("tree edges do not form a connected tree")
+        if self.root is not None and not 0 <= self.root < k:
+            raise InputError("root out of range")
+        tree = shared_tree
+        if tree is None:
+            tree = _root_tree(k, self.tree_edges, 0 if self.root is None else self.root)
+        object.__setattr__(self, "_tree", tree)
         for v, node in enumerate(self.tau):
             if not 0 <= node < k:
                 raise InputError(f"tau maps vertex {v} to a non-node")
         if self.root is not None:
-            if not 0 <= self.root < k:
-                raise InputError("root out of range")
-            if len(adj[self.root]) > 1:
+            if len(tree.adj[self.root]) > 1:
                 raise InputError("root must be a leaf")
             if any(node == self.root for node in self.tau):
                 raise InputError("root leaf must have an empty preimage")
 
+    @cached_property
+    def view(self) -> RootedView:
+        """The rooted tree with pre[v] for this tau, built on first use."""
+        tree = self._tree
+        pre = [0] * self.num_nodes
+        for v, node in enumerate(self.tau):
+            pre[node] |= 1 << v
+        for x in reversed(tree.order[1:]):
+            pre[tree.parent[x]] |= pre[x]
+        return replace(tree, pre=tuple(pre))
+
     def node_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for lst in adj:
-            lst.sort()
-        return adj
+        return [list(nbrs) for nbrs in self._tree.adj]
 
 
 @dataclass(frozen=True)
@@ -80,134 +135,94 @@ class RankDecomposition:
     width: int
 
 
+def _rooted_view(d: Decomposition) -> RootedView:
+    if d.root is None:
+        raise StateError("decomposition is not rooted")
+    return d.view
+
+
 def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
     """Vertex bitsets of the two sides induced by tree edge e (a-side first)."""
     a, b = e
-    if (a, b) not in d.tree_edges and (b, a) not in d.tree_edges:
-        raise InputError(f"({a},{b}) is not a tree edge")
-    adj = d.node_adjacency()
-    side_nodes = {a}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if x == a and y == b:
-                continue  # the removed edge
-            if y not in side_nodes:
-                side_nodes.add(y)
-                stack.append(y)
-    side_a = 0
-    for v, node in enumerate(d.tau):
-        if node in side_nodes:
-            side_a |= 1 << v
-    return side_a, g.vertex_mask & ~side_a
+    view = d.view
+    if 0 <= a < d.num_nodes and 0 <= b < d.num_nodes:
+        if view.parent[b] == a:
+            side_b = view.pre[b]
+            return g.vertex_mask & ~side_b, side_b
+        if view.parent[a] == b:
+            side_a = view.pre[a]
+            return side_a, g.vertex_mask & ~side_a
+    raise InputError(f"({a},{b}) is not a tree edge")
 
 
 def decomposition_rank(g: Graph, d: Decomposition) -> int:
-    return max((cut_rank_of(g, edge_cut(g, d, e)[0]) for e in d.tree_edges), default=0)
+    view = d.view
+    return max((cut_rank_of(g, view.pre[v]) for v in view.order[1:]), default=0)
 
 
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
+    """Max over tree edges of the cut's max(#distinct rows, #distinct columns)."""
+    view = d.view
+    full = g.vertex_mask
     best = 0
-    for e in d.tree_edges:
-        side, _ = edge_cut(g, d, e)
-        best = max(best, cut_diversity(cut_matrix(g, side)))
+    for v in view.order[1:]:
+        side = view.pre[v]
+        other = full & ~side
+        if side and other:
+            rows = set()
+            reached = 0
+            for u in iter_bits(side):
+                row = g.adj[u] & other
+                rows.add(row)
+                reached |= row
+            cols = {g.adj[w] & side for w in iter_bits(reached)}
+            if other & ~reached:  # the columns of unreached vertices are all zero
+                cols.add(0)
+            best = max(best, len(rows), len(cols))
     return best
 
 
 def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
-    """Spanning subgraph keeping edges whose endpoint images straddle node v."""
+    """Spanning subgraph keeping edges whose endpoint images straddle node v.
+
+    Drops the edges inside one component of T - v: a child subtree of v, or
+    everything outside the subtree at v.
+    """
     if not 0 <= v < d.num_nodes:
         raise InputError(f"node {v} out of range")
-    adj_nodes = d.node_adjacency()
-    comp = [-1] * d.num_nodes  # component index of T - v; v itself stays -1
-    cid = 0
-    for start in adj_nodes[v]:
-        if comp[start] != -1:
-            continue
-        comp[start] = cid
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj_nodes[x]:
-                if y != v and comp[y] == -1:
-                    comp[y] = cid
-                    stack.append(y)
-        cid += 1
-    adj = [0] * g.n
-    for u, w in g.edges():
-        cu, cw = comp[d.tau[u]], comp[d.tau[w]]
-        if cu == -1 or cw == -1 or cu != cw:
-            adj[u] |= 1 << w
-            adj[w] |= 1 << u
+    view = d.view
+    inside = view.pre[v]
+    adj = list(g.adj)
+    for u in iter_bits(g.vertex_mask & ~inside):
+        adj[u] &= inside
+    for c in view.children[v]:
+        below = view.pre[c]
+        for u in iter_bits(below):
+            adj[u] &= ~below
     return Graph(g.n, tuple(adj))
 
 
 def rooted_parents(d: Decomposition) -> tuple[list[int], list[int]]:
     """Parent and depth arrays of the rooted tree; requires a root."""
-    if d.root is None:
-        raise StateError("decomposition is not rooted")
-    adj = d.node_adjacency()
-    parent = [-1] * d.num_nodes
-    depth = [0] * d.num_nodes
-    order = [d.root]
-    seen = [False] * d.num_nodes
-    seen[d.root] = True
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                order.append(y)
-    return parent, depth
-
-
-def bfs_node_order(d: Decomposition) -> list[int]:
-    """Breadth-first node order from the root (root first)."""
-    if d.root is None:
-        raise StateError("decomposition is not rooted")
-    adj = d.node_adjacency()
-    order = [d.root]
-    seen = [False] * d.num_nodes
-    seen[d.root] = True
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                order.append(y)
-    return order
+    view = _rooted_view(d)
+    return list(view.parent), list(view.depth)
 
 
 def origin(d: Decomposition, u: int, w: int) -> int:
-    """Nearest common ancestor of tau(u) and tau(w) in the rooted tree."""
-    parent, depth = rooted_parents(d)
-    a, b = d.tau[u], d.tau[w]
-    while depth[a] > depth[b]:
-        a = parent[a]
-    while depth[b] > depth[a]:
-        b = parent[b]
-    while a != b:
-        a, b = parent[a], parent[b]
-    return a
+    """Nearest common ancestor of tau(u) and tau(w) in the rooted tree: the
+    lowest node above tau(u) whose subtree preimage contains w."""
+    view = _rooted_view(d)
+    if not (0 <= u < len(d.tau) and 0 <= w < len(d.tau)):
+        raise InputError(f"vertex pair ({u},{w}) out of range")
+    x = d.tau[u]
+    while not view.pre[x] >> w & 1:
+        x = view.parent[x]
+    return x
 
 
 def subtree_preimages(g: Graph, d: Decomposition) -> list[int]:
     """For each node v, the bitset of vertices mapped into the subtree at v."""
-    parent, depth = rooted_parents(d)
-    pre = [0] * d.num_nodes
-    for v, node in enumerate(d.tau):
-        pre[node] |= 1 << v
-    for x in sorted(range(d.num_nodes), key=lambda y: -depth[y]):
-        if parent[x] != -1:
-            pre[parent[x]] |= pre[x]
-    return pre
+    return list(_rooted_view(d).pre)
 
 
 def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
@@ -216,11 +231,10 @@ def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
     Index 0 is the class with no outside neighbors (possibly empty); the
     remaining classes are ordered by their outside-neighborhood bitsets.
     """
-    if d.root is None:
-        raise StateError("decomposition is not rooted")
+    view = _rooted_view(d)
     if v == d.root:
         raise InputError("outside partition is undefined at the root")
-    vv = subtree_preimages(g, d)[v]
+    vv = view.pre[v]
     groups: dict[int, int] = {}
     for u in iter_bits(vv):
         out = g.adj[u] & ~vv
@@ -236,7 +250,7 @@ def restrict(g: Graph, d: Decomposition, s: int) -> tuple[Graph, Decomposition, 
     tau = [0] * h.n
     for old, new in remap.items():
         tau[new] = d.tau[old]
-    return h, replace(d, tau=tuple(tau)), remap
+    return h, replace(d, tau=tuple(tau), shared_tree=d._tree), remap
 
 
 def root_normalize(d: Decomposition) -> Decomposition:
@@ -247,7 +261,7 @@ def root_normalize(d: Decomposition) -> Decomposition:
     """
     if d.root is not None:
         return d
-    adj = d.node_adjacency()
+    adj = d._tree.adj
     used = set(d.tau)
     for v in range(d.num_nodes):
         if len(adj[v]) <= 1 and v not in used:
@@ -272,7 +286,7 @@ def star_decomposition(g: Graph) -> Decomposition:
 
 def validate_rank_decomposition(g: Graph, d: Decomposition) -> RankDecomposition:
     """Check the cubic-tree/leaf-bijection shape and report the width."""
-    adj = d.node_adjacency()
+    adj = d._tree.adj
     leaves = {v for v in range(d.num_nodes) if len(adj[v]) <= 1}
     for v in range(d.num_nodes):
         if v not in leaves and len(adj[v]) != 3:

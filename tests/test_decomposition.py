@@ -28,11 +28,24 @@ from rankchi import (
     star_decomposition,
     validate_rank_decomposition,
 )
-from rankchi.decomposition import subtree_preimages
+from rankchi.decomposition import rooted_parents, subtree_preimages
 from rankchi.generate import (
     random_cubic_decomposition,
     random_decomposition,
     random_graph,
+)
+
+from helpers import (
+    matrix_of_cut,
+    naive_cut_diversity,
+    naive_edge_cut,
+    naive_gf2_rank,
+    naive_origin,
+    naive_outside_classes,
+    naive_parents,
+    naive_piece_edges,
+    naive_subtree_preimages,
+    random_vertex_subset,
 )
 
 
@@ -149,6 +162,12 @@ class TestOrigin:
         d = path_tree_decomposition()
         with pytest.raises(StateError):
             origin(d, 0, 1)
+
+    def test_vertex_out_of_range_raises(self):
+        d = Decomposition(3, ((0, 1), (1, 2)), (1, 2), root=0)
+        for u, w in ((0, 2), (2, 0), (-1, 0)):
+            with pytest.raises(InputError):
+                origin(d, u, w)
 
 
 class TestOutsidePartition:
@@ -345,3 +364,78 @@ class TestRootNormalize:
         assert normalized.num_nodes == 3 and normalized.root == 2
         g = path_graph(2)
         assert decomposition_rank(g, normalized) == decomposition_rank(g, d)
+
+
+def random_tree_decomposition(rng, g):
+    """Random tree with shuffled node ids and 0-3 extra empty leaves; half the
+    time rooted at an empty leaf, when there is one."""
+    k = rng.randint(1, 7)
+    ids = list(range(k))
+    rng.shuffle(ids)
+    edges = [(ids[rng.randrange(v)], ids[v]) for v in range(1, k)]
+    tau = tuple(ids[rng.randrange(k)] for _ in range(g.n))
+    for fresh in range(k, k + rng.randint(0, 3)):
+        edges.append((rng.randrange(fresh), fresh))
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    rng.shuffle(edges)
+    degree = [0] * (len(edges) + 1)
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    empty_leaves = [v for v in range(len(degree)) if degree[v] <= 1 and v not in tau]
+    root = rng.choice(empty_leaves) if empty_leaves and rng.random() < 0.5 else None
+    return Decomposition(len(degree), tuple(edges), tau, root)
+
+
+def assert_view_matches_oracles(g, d):
+    cuts = []
+    for a, b in d.tree_edges:
+        assert edge_cut(g, d, (a, b)) == naive_edge_cut(g, d, (a, b))
+        assert edge_cut(g, d, (b, a)) == naive_edge_cut(g, d, (b, a))
+        cuts.append(naive_edge_cut(g, d, (a, b))[0])
+    sides = [[v for v in range(g.n) if side >> v & 1] for side in cuts]
+    assert decomposition_rank(g, d) == max(
+        (naive_gf2_rank(matrix_of_cut(g, side)) for side in sides), default=0
+    )
+    diversity = decomposition_diversity(g, d)
+    assert diversity == max((naive_cut_diversity(g, side) for side in cuts), default=0)
+    assert diversity == max((cut_diversity(cut_matrix(g, side)) for side in cuts), default=0)
+    for v in range(d.num_nodes):
+        assert set(piece_graph(g, d, v).edges()) == naive_piece_edges(g, d, v)
+    if d.root is None:
+        return
+    assert subtree_preimages(g, d) == naive_subtree_preimages(d)
+    for v in range(d.num_nodes):
+        if v != d.root:
+            assert outside_partition(g, d, v) == naive_outside_classes(g, d, v)
+    for u in range(g.n):
+        for w in range(u, g.n):
+            assert origin(d, u, w) == origin(d, w, u) == naive_origin(d, u, w)
+
+
+class TestRootedViewAgainstOracles:
+    def test_random_trees_normalized_and_restricted(self):
+        rng = random.Random(9)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(0, 9))
+            d = random_tree_decomposition(rng, g)
+            normalized = root_normalize(d)
+            assert_view_matches_oracles(g, d)
+            assert_view_matches_oracles(g, normalized)
+            s = random_vertex_subset(rng, g.n)
+            for dec in (d, normalized):
+                h, sub, _ = restrict(g, dec, s)
+                assert_view_matches_oracles(h, sub)
+
+    def test_rooted_parents_and_non_edges(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(1, 8))
+            d = root_normalize(random_tree_decomposition(rng, g))
+            assert rooted_parents(d) == naive_parents(d)
+            edges = {frozenset(e) for e in d.tree_edges}
+            for a in range(-1, d.num_nodes + 1):
+                for b in range(-1, d.num_nodes + 1):
+                    if frozenset((a, b)) not in edges:
+                        with pytest.raises(InputError):
+                            edge_cut(g, d, (a, b))
