@@ -9,8 +9,8 @@ realizes the 1-join tree construction together with its rank-1 decomposition.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .decomposition import (
     Decomposition,

@@ -331,20 +331,9 @@ def exact_rank_width(
         key = min(mask, full ^ mask)
         r = rank_memo.get(key)
         if r is None:
-            other = full ^ key
-            r = 0
-            pivots: dict[int, int] = {}
-            for u in iter_bits(key):
-                row = g.adj[u] & other
-                while row:
-                    lead = row.bit_length() - 1
-                    if lead in pivots:
-                        row ^= pivots[lead]
-                    else:
-                        pivots[lead] = row
-                        r += 1
-                        break
-            rank_memo[key] = r
+            # not an inline comprehension: one over local names turns them into
+            # closure cells, which every call, memo hits included, allocates
+            r = rank_memo[key] = cut_rank_of(g, key)
         return r
 
     root_leaf = order[0]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .config import LIMITS
 from .errors import InputError, ResourceError
-from .graph import Graph, induced_subgraph, iter_bits, local_complement
+from .graph import Graph, bitset, induced_subgraph, iter_bits, local_complement
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,49 @@ def maximum_cliques(g: Graph, limit: int | None = None) -> list[int]:
     return best
 
 
+def _max_clique_size(adj: tuple[int, ...], cand: int, best: int = 0) -> int:
+    """Size of a largest clique inside the vertex bitset cand, or best if larger.
+
+    Branch and bound (Tomita-Seki 2003): the candidates are greedily colored
+    into independent sets and tried in reverse color order, and a branch is
+    cut as soon as size + color cannot beat the best clique found.  Passing
+    best = s - 1 turns the search into the decision "is there an s-clique?".
+    """
+
+    def expand(size: int, cand: int) -> None:
+        nonlocal best
+        order: list[tuple[int, int]] = []
+        rest, color = cand, 0
+        while rest:
+            color += 1
+            free = rest
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                rest ^= low
+                free &= ~(adj[v] | low)
+                order.append((v, color))
+        for v, color in reversed(order):
+            if size + color <= best:
+                return
+            sub = cand & adj[v]
+            if sub:
+                expand(size + 1, sub)
+            elif size >= best:
+                best = size + 1
+            cand ^= 1 << v
+
+    if cand:
+        expand(0, cand)
+    return best
+
+
 def clique_number(g: Graph, limit: int | None = None) -> int:
-    if g.n == 0:
-        return 0
-    return maximum_cliques(g, limit)[0].bit_count()
+    """omega(g), by branch and bound on its size; 0 for the empty graph."""
+    cap = limit if limit is not None else LIMITS.clique_n
+    if g.n > cap:
+        raise ResourceError(f"clique search limited to n <= {cap} (got {g.n})")
+    return _max_clique_size(g.adj, g.vertex_mask)
 
 
 def greedy_coloring(g: Graph) -> Coloring:
@@ -144,11 +183,12 @@ def no_max_clique_monochromatic(g: Graph, c: Coloring, limit: int | None = None)
     """
     if len(c.colors) != g.n:
         raise InputError("coloring is not total on the vertex set")
-    cliques = maximum_cliques(g, limit)
-    if not cliques or cliques[0].bit_count() <= 1:
+    omega = clique_number(g, limit)
+    if omega <= 1:
         return True
-    for clique in cliques:
-        if len({c.colors[v] for v in iter_bits(clique)}) < 2:
+    for color in set(c.colors):
+        mask = bitset(v for v in range(g.n) if c.colors[v] == color)
+        if _max_clique_size(g.adj, mask, omega - 1) >= omega:
             return False
     return True
 

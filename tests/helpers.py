@@ -71,6 +71,12 @@ def petersen() -> Graph:
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def cocktail_party(k: int) -> Graph:
+    """K_{2xk}: vertices 2i and 2i+1 are the only non-adjacent pairs."""
+    n = 2 * k
+    return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if a // 2 != b // 2])
+
+
 def random_vertex_subset(rng: random.Random, n: int) -> int:
     return rng.randrange(1 << n) if n else 0
 

@@ -27,7 +27,7 @@ from rankchi import (
 )
 from rankchi.generate import random_graph
 
-from helpers import naive_chromatic_number, naive_clique_number, petersen
+from helpers import cocktail_party, naive_chromatic_number, naive_clique_number, petersen
 
 
 class TestCliques:
@@ -52,6 +52,25 @@ class TestCliques:
     def test_limit(self):
         with pytest.raises(ResourceError):
             maximum_cliques(complete(5), limit=4)
+
+    def test_agrees_with_enumeration(self):
+        rng = random.Random(20)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(9, 22), rng.uniform(0.1, 0.9))
+            assert clique_number(g) == maximum_cliques(g)[0].bit_count()
+
+    def test_cocktail_party(self):
+        for k in range(1, 21):
+            assert clique_number(cocktail_party(k), limit=40) == k
+
+    def test_edgeless_and_empty(self):
+        assert clique_number(Graph(4, (0, 0, 0, 0))) == 1
+        assert clique_number(Graph(0, ())) == 0
+
+    def test_clique_number_limit(self):
+        with pytest.raises(ResourceError):
+            clique_number(complete(5), limit=4)
+        assert clique_number(complete(5), limit=5) == 5
 
 
 class TestChromaticNumber:
@@ -122,6 +141,19 @@ class TestMaxCliqueMonochromatic:
     def test_omega_one_convention(self):
         g = Graph(3, (0, 0, 0))
         assert no_max_clique_monochromatic(g, Coloring((1, 1, 1)))
+
+    def test_against_enumeration(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            palette = rng.randint(1, 3)
+            c = Coloring(tuple(rng.randint(1, palette) for _ in range(n)))
+            cliques = maximum_cliques(g)
+            expect = cliques[0].bit_count() <= 1 or all(
+                len({c.colors[v] for v in iter_bits(q)}) >= 2 for q in cliques
+            )
+            assert no_max_clique_monochromatic(g, c) == expect
 
     def test_against_per_class_omega(self):
         rng = random.Random(6)

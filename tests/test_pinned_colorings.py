@@ -21,7 +21,6 @@ import pytest
 from rankchi import (
     ChiBoundFn,
     Decomposition,
-    Graph,
     chi_bounded_coloring,
     decomposition_rank,
     exact_node_oracle,
@@ -36,13 +35,9 @@ from rankchi.generate import (
     random_join_tree,
 )
 
+from helpers import cocktail_party
+
 PINNED = Path(__file__).parent / "data" / "pinned_colorings.json"
-
-
-def cocktail_party(k: int) -> Graph:
-    """K_{2xk}: vertices 2i and 2i+1 are the only non-adjacent pairs."""
-    n = 2 * k
-    return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if a // 2 != b // 2])
 
 
 def cherry_caterpillar(k: int) -> Decomposition:
