@@ -40,7 +40,7 @@ def main():
 
     t0 = time.perf_counter()
     width, witness = exact_rank_width(g)
-    print(f"rank-width: {width}  ({time.perf_counter() - t0:.3f}s exhaustive search)")
+    print(f"rank-width: {width}  ({time.perf_counter() - t0:.3f}s subset DP)")
 
     dec = witness.decomposition
     normalized = root_normalize(dec)

@@ -10,7 +10,8 @@ node 0 when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the
 vertices mapped into the subtree at v, so rank and diversity take one pass
 over the nodes and a piece graph one bitset mask per vertex.  Restrictions
 share the tree part of the view and rebuild only pre.  Rank-decompositions
-and exhaustive exact rank-width search live here too.
+and exact rank-width, by a dynamic programme over vertex subsets, live here
+too.
 """
 
 from __future__ import annotations
@@ -305,12 +306,19 @@ def validate_rank_decomposition(g: Graph, d: Decomposition) -> RankDecomposition
 def exact_rank_width(
     g: Graph, limit: int | None = None, leaf_order: list[int] | None = None
 ) -> tuple[int, RankDecomposition]:
-    """Minimum width over all leaf-labeled unrooted cubic trees, with witness.
+    """Rank-width of g with an optimal rank-decomposition as witness.
 
-    Enumerates the (2n-5)!! cubic trees by iterative leaf insertion, aborting
-    the evaluation of a candidate as soon as a cut reaches the best width
-    found so far.  leaf_order controls the insertion order (any permutation of
-    the vertices); results agree for all orders.
+    Subset dynamic programme (Oum, "Computing rank-width exactly", IPL 2009).
+    The leaf r = leaf_order[0] (vertex 0 by default) hangs off a rooted binary
+    tree over S = V - r, and for every nonempty X of S
+
+        w(X) = max(cutrank(X), min over splits {A, X - A} of max(w(A), w(X - A)))
+
+    with w({v}) = cutrank({v}); the width is w(S).  Every cubic tree is such a
+    rooted tree below any of its leaves, so the width is the same for every
+    choice of r.  The rest of leaf_order is not used, but leaf_order must be a
+    permutation of the vertices.  The witness is built from the first optimal
+    split found for each X.  Time O(3^n), memory O(2^n).
     """
     n = g.n
     cap = limit if limit is not None else LIMITS.rank_width_n
@@ -324,74 +332,44 @@ def exact_rank_width(
     if sorted(order) != list(range(n)):
         raise InputError("leaf_order must be a permutation of the vertices")
 
-    full = g.vertex_mask
-    rank_memo: dict[int, int] = {}
-
-    def rank_of(mask: int) -> int:
-        key = min(mask, full ^ mask)
-        r = rank_memo.get(key)
-        if r is None:
-            # not an inline comprehension: one over local names turns them into
-            # closure cells, which every call, memo hits included, allocates
-            r = rank_memo[key] = cut_rank_of(g, key)
-        return r
-
     root_leaf = order[0]
-    first = order[1]
-    parent: dict[int, int] = {first: root_leaf}
-    mask: dict[int, int] = {first: 1 << first}
-    nodes = [first]  # every node except the root leaf; edge = (node, parent)
-    best_width = n + 1
-    best_parent: dict[int, int] | None = None
+    top = g.vertex_mask & ~(1 << root_leaf)
+    width = [0] * (1 << n)
+    split = [0] * (1 << n)  # for |X| >= 2, the side A of an optimal split of X
+    x = 0
+    while x != top:  # nonempty subsets of top in increasing order, so A < X
+        x = (x - top) & top
+        r = cut_rank_of(g, x)
+        low = x & -x
+        if x != low:
+            # A holds the lowest vertex of X, so each split is tried once; a
+            # split as good as the cut of X itself cannot be beaten.
+            rest = x ^ low
+            sub = rest
+            best = n
+            while sub and best > r:
+                sub = (sub - 1) & rest
+                a = low | sub
+                w = max(width[a], width[x ^ a])
+                if w < best:
+                    best = w
+                    split[x] = a
+            r = max(r, best)
+        width[x] = r
 
-    def evaluate() -> None:
-        nonlocal best_width, best_parent
-        w = 0
-        for v in nodes:
-            r = rank_of(mask[v])
-            if r > w:
-                w = r
-                if w >= best_width:
-                    return
-        best_width = w
-        best_parent = dict(parent)
-
-    def insert(idx: int) -> None:
-        if idx == n:
-            evaluate()
-            return
-        m = order[idx]
-        mbit = 1 << m
-        t = n + idx - 2  # one fresh internal node per inserted leaf
-        for c in list(nodes):
-            p = parent[c]
-            parent[t] = p
-            parent[c] = t
-            parent[m] = t
-            mask[t] = mask[c] | mbit
-            mask[m] = mbit
-            anc = p
-            while anc != root_leaf:
-                mask[anc] |= mbit
-                anc = parent[anc]
-            nodes.append(t)
-            nodes.append(m)
-
-            insert(idx + 1)
-
-            nodes.pop()
-            nodes.pop()
-            anc = p
-            while anc != root_leaf:
-                mask[anc] &= ~mbit
-                anc = parent[anc]
-            parent[c] = p
-            del parent[t], parent[m], mask[t], mask[m]
-
-    insert(2)
-    assert best_parent is not None
-    num_nodes = 2 * n - 2
-    # Node ids: leaves are the vertex ids, internals were allocated at n..2n-3.
-    edges = tuple(sorted((v, p) if v < p else (p, v) for v, p in best_parent.items()))
-    d = Decomposition(num_nodes, edges, tuple(range(n)))
-    return best_width, validate_rank_decomposition(g, d)
+    # Node ids: leaves are the vertex ids, internals are allocated at n..2n-3.
+    edges = []
+    stack = [(top, root_leaf)]  # (vertex set, the node it hangs below)
+    fresh = n
+    while stack:
+        x, above = stack.pop()
+        if x & (x - 1):
+            node = fresh
+            fresh += 1
+            stack.append((split[x], node))
+            stack.append((x ^ split[x], node))
+        else:
+            node = x.bit_length() - 1
+        edges.append((min(node, above), max(node, above)))
+    d = Decomposition(2 * n - 2, tuple(sorted(edges)), tuple(range(n)))
+    return width[top], validate_rank_decomposition(g, d)

@@ -37,24 +37,32 @@ def maximum_cliques(g: Graph, limit: int | None = None) -> list[int]:
         return []
     best_size = 0
     best: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        nonlocal best_size, best
-        if not p and not x:
-            s = r.bit_count()
-            if s > best_size:
-                best_size = s
-                best = [r]
-            elif s == best_size:
-                best.append(r)
-            return
-        pivot = max(iter_bits(p | x), key=lambda u: (g.adj[u] & p).bit_count())
-        for v in iter_bits(p & ~g.adj[pivot]):
-            bk(r | (1 << v), p & g.adj[v], x & g.adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    bk(0, g.vertex_mask, 0)
+    # Bron-Kerbosch with pivoting on an explicit stack, so a large omega cannot
+    # exhaust the call stack.  Each frame is [r, p, x, branch vertices still
+    # to try, or -1 before the pivot is chosen].
+    stack = [[0, g.vertex_mask, 0, -1]]
+    while stack:
+        frame = stack[-1]
+        r, p, x, todo = frame
+        if todo < 0:
+            if not p and not x:
+                stack.pop()
+                s = r.bit_count()
+                if s > best_size:
+                    best_size = s
+                    best = [r]
+                elif s == best_size:
+                    best.append(r)
+                continue
+            pivot = max(iter_bits(p | x), key=lambda u: (g.adj[u] & p).bit_count())
+            todo = p & ~g.adj[pivot]
+        if not todo:
+            stack.pop()
+            continue
+        low = todo & -todo
+        v = low.bit_length() - 1
+        frame[1:] = p & ~low, x | low, todo ^ low
+        stack.append([r | low, p & g.adj[v], x & g.adj[v], -1])
     return best
 
 
@@ -67,8 +75,8 @@ def _max_clique_size(adj: tuple[int, ...], cand: int, best: int = 0) -> int:
     best = s - 1 turns the search into the decision "is there an s-clique?".
     """
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
+    def color_order(cand: int) -> list[tuple[int, int]]:
+        """(vertex, color) of a greedy coloring of cand, in color order."""
         order: list[tuple[int, int]] = []
         rest, color = cand, 0
         while rest:
@@ -80,19 +88,27 @@ def _max_clique_size(adj: tuple[int, ...], cand: int, best: int = 0) -> int:
                 rest ^= low
                 free &= ~(adj[v] | low)
                 order.append((v, color))
-        for v, color in reversed(order):
+        return order
+
+    # The branch being searched is (size, cand, order); the branches above it
+    # wait on an explicit stack, so a large omega cannot exhaust the call stack.
+    stack: list[tuple[int, int, list[tuple[int, int]]]] = []
+    size, order = 0, color_order(cand)
+    while True:
+        while order:
+            v, color = order.pop()
             if size + color <= best:
-                return
+                break
             sub = cand & adj[v]
+            cand ^= 1 << v
             if sub:
-                expand(size + 1, sub)
+                stack.append((size, cand, order))
+                size, cand, order = size + 1, sub, color_order(sub)
             elif size >= best:
                 best = size + 1
-            cand ^= 1 << v
-
-    if cand:
-        expand(0, cand)
-    return best
+        if not stack:
+            return best
+        size, cand, order = stack.pop()
 
 
 def clique_number(g: Graph, limit: int | None = None) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from rankchi import Graph
+from rankchi import Decomposition, Graph
 
 
 def naive_gf2_rank(matrix: list[list[int]]) -> int:
@@ -39,6 +39,60 @@ def naive_gf2_rank(matrix: list[list[int]]) -> int:
 def matrix_of_cut(g: Graph, w_side: list[int]) -> list[list[int]]:
     other = [v for v in range(g.n) if v not in w_side]
     return [[1 if g.has_edge(u, v) else 0 for v in other] for u in w_side]
+
+
+def naive_rank_width(g: Graph) -> tuple[int, Decomposition]:
+    """Minimum width over all (2n-5)!! leaf-labeled cubic trees, with the first
+    tree that reaches it.
+
+    Leaves are inserted in vertex order, each one subdividing every edge in
+    turn and taking the fresh internal node n + i - 2; vertex 0 is the root
+    leaf.  Cut ranks come from the 0/1 matrix of each cut.
+    """
+    n = g.n
+    if n <= 1:
+        return 0, Decomposition(1, (), (0,) * n)
+    ranks: dict[int, int] = {}
+
+    def rank(mask: int) -> int:
+        if mask not in ranks:
+            ranks[mask] = naive_gf2_rank(matrix_of_cut(g, [v for v in range(n) if mask >> v & 1]))
+        return ranks[mask]
+
+    parent = {1: 0}  # every node except the root leaf 0; edge = (node, parent)
+    below = {1: 1 << 1}  # vertices in the subtree under each node
+    best_width, best_parent = n + 1, parent
+
+    def insert(m: int) -> None:
+        nonlocal best_width, best_parent
+        if m == n:
+            width = 0
+            for mask in below.values():
+                width = max(width, rank(mask))
+                if width >= best_width:
+                    return
+            best_width, best_parent = width, dict(parent)
+            return
+        t = n + m - 2
+        for c in list(parent):
+            p = parent[c]
+            parent[t], parent[c], parent[m] = p, t, t
+            below[t], below[m] = below[c] | 1 << m, 1 << m
+            x = p
+            while x != 0:
+                below[x] |= 1 << m
+                x = parent[x]
+            insert(m + 1)
+            x = p
+            while x != 0:
+                below[x] &= ~(1 << m)
+                x = parent[x]
+            parent[c] = p
+            del parent[t], parent[m], below[t], below[m]
+
+    insert(2)
+    edges = tuple(sorted((min(v, p), max(v, p)) for v, p in best_parent.items()))
+    return best_width, Decomposition(2 * n - 2, edges, tuple(range(n)))
 
 
 def naive_chromatic_number(g: Graph) -> int:

@@ -44,6 +44,7 @@ from helpers import (
     naive_outside_classes,
     naive_parents,
     naive_piece_edges,
+    naive_rank_width,
     naive_subtree_preimages,
     random_vertex_subset,
 )
@@ -284,6 +285,27 @@ class TestExactRankWidth:
             order = list(range(n))
             rng.shuffle(order)
             assert exact_rank_width(g)[0] == exact_rank_width(g, leaf_order=order)[0]
+
+    def test_agrees_with_naive_enumeration(self):
+        rng = random.Random(9)
+        for _ in range(220):
+            n = rng.randint(2, 8)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            expected, _ = naive_rank_width(g)
+            order = list(range(n))
+            rng.shuffle(order)
+            for leaf_order in (None, order):
+                width, witness = exact_rank_width(g, leaf_order=leaf_order)
+                assert width == expected
+                assert validate_rank_decomposition(g, witness.decomposition).width == width
+
+    def test_smallest_witness_trees(self):
+        _, witness = exact_rank_width(path_graph(2))
+        assert witness.decomposition.num_nodes == 2
+        assert witness.decomposition.tree_edges == ((0, 1),)
+        _, witness = exact_rank_width(cycle(3))
+        assert witness.decomposition.num_nodes == 4
+        assert witness.decomposition.tree_edges == ((0, 3), (1, 3), (2, 3))
 
     def test_witness_validates_at_width(self):
         g = cycle(6)

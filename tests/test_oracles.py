@@ -1,4 +1,7 @@
+import contextlib
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -28,6 +31,17 @@ from rankchi import (
 from rankchi.generate import random_graph
 
 from helpers import cocktail_party, naive_chromatic_number, naive_clique_number, petersen
+
+
+@contextlib.contextmanager
+def call_depth_room(frames: int):
+    """Let the code in the block nest at most about frames more Python calls."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class TestCliques:
@@ -71,6 +85,20 @@ class TestCliques:
         with pytest.raises(ResourceError):
             clique_number(complete(5), limit=4)
         assert clique_number(complete(5), limit=5) == 5
+
+    # A search that recursed once per clique vertex would raise RecursionError
+    # on a 300-clique with room for 100 nested calls.
+    def test_clique_number_deeper_than_the_call_stack(self):
+        g = complete(300)
+        with call_depth_room(100):
+            omega = clique_number(g, limit=300)
+        assert omega == 300
+
+    def test_maximum_cliques_deeper_than_the_call_stack(self):
+        g = complete(300)
+        with call_depth_room(100):
+            cliques = maximum_cliques(g, limit=300)
+        assert cliques == [g.vertex_mask]
 
 
 class TestChromaticNumber:
