@@ -124,7 +124,9 @@ def key_lemma_coloring(
     """Color g with at most d(k+1) colors so no maximum clique is monochromatic.
 
     Requires g connected with at least two vertices, decomposition diversity
-    at most d, and an oracle coloring every piece graph with at most k colors.
+    at most the budget d, and an oracle coloring every piece graph with at
+    most k colors.  The construction then works with the measured diversity,
+    so the palette is at most max(1, diversity)·(k+1), however loose d is.
     With check=True the four inductive properties of the construction are
     verified after every node step.
     """
@@ -140,17 +142,11 @@ def key_lemma_coloring(
     diversity = decomposition_diversity(g, dec)
     if diversity > d:
         raise ContractError(f"decomposition diversity {diversity} exceeds budget {d}")
+    d = max(1, diversity)
 
     view = dec.view
-    order, parent, pre = view.order, view.parent, view.pre
+    order, pre = view.order, view.pre
     classes = {v: outside_partition(g, dec, v) for v in order[1:]}
-    class_of: dict[int, dict[int, int]] = {}
-    for v, parts in classes.items():
-        lookup: dict[int, int] = {}
-        for j, mask in enumerate(parts):
-            for u in iter_bits(mask):
-                lookup[u] = j
-        class_of[v] = lookup
 
     palette_cap = d * (k + 1)
     phi: dict[int, int] = {}
@@ -167,43 +163,40 @@ def key_lemma_coloring(
         if check and uncolored != classes[v][0]:
             raise ContractError("uncolored subtree vertices differ from class zero")
 
-        w_list: list[int] = []
+        w_mask = 0
         if classes[v][0]:  # else every vertex of V_v is colored already
             piece = piece_graph(g, dec, v)
-            w_list = [
+            w_mask = bitset(
                 u
                 for u in iter_bits(classes[v][0])
                 if piece.adj[u] or dec.tau[u] == v
-            ]
-        if not w_list:
+            )
+        if not w_mask:
             if check:
                 _check_step(g, dec, order[:step], phi, classes)
             continue
 
         psi1 = _twin_consistent_proper_coloring(piece, oracle, k)
-        psi2: dict[int, int] = {}
-        for u in w_list:
-            if dec.tau[u] == v:
-                psi2[u] = 1
-            else:
-                child = dec.tau[u]
-                while parent[child] != v:
-                    child = parent[child]
-                j = class_of[child][u]
-                if j < 1:
-                    raise ContractError("piece-active vertex landed in class zero of a child")
-                psi2[u] = j
+        # psi2 is 1 at v itself, else the outside class in the child holding u
+        psi2 = dict.fromkeys(iter_bits(w_mask), 1)
+        for c in view.children[v]:
+            parts = classes[c]
+            if parts[0] & w_mask:
+                raise ContractError("piece-active vertex landed in class zero of a child")
+            for j in range(1, len(parts)):
+                for u in iter_bits(parts[j] & w_mask):
+                    psi2[u] = j
 
-        pairs = sorted({(psi1[u], psi2[u]) for u in w_list})
+        pairs = sorted({(psi1[u], j) for u, j in psi2.items()})
         fresh = [c for c in range(1, palette_cap + 1) if c not in used_on_vv]
         if len(pairs) > len(fresh):
             raise ContractError(
                 f"{len(pairs)} fresh color classes but only {len(fresh)} colors left"
             )
         assignment = {pair: fresh[i] for i, pair in enumerate(pairs)}
-        for u in w_list:
-            phi[u] = assignment[(psi1[u], psi2[u])]
-            colored_mask |= 1 << u
+        for u, j in psi2.items():
+            phi[u] = assignment[(psi1[u], j)]
+        colored_mask |= w_mask
 
         if check:
             _check_step(g, dec, order[:step], phi, classes)
@@ -309,30 +302,25 @@ def _color_recursive(
                 colors[old] = sub.colors[new]
         return Coloring(tuple(colors))
 
-    d = max(1, min(decomposition_diversity(g, dec), 1 << bound.rank_budget))
-    k = bound(omega)
-    phi = key_lemma_coloring(g, dec, oracle, d, k, check)
+    # key_lemma_coloring measures the diversity against the budget 2^r
+    phi = key_lemma_coloring(g, dec, oracle, 1 << bound.rank_budget, bound(omega), check)
 
-    outer_colors = sorted(set(phi.colors))
-    inner: dict[int, Coloring] = {}
-    remaps: dict[int, dict[int, int]] = {}
-    widest = 1
-    for c in outer_colors:
-        mask = bitset(u for u in range(g.n) if phi.colors[u] == c)
-        sub_g, sub_d, remap = restrict(g, dec, mask)
+    class_masks: dict[int, int] = {}
+    for u, c in enumerate(phi.colors):
+        class_masks[c] = class_masks.get(c, 0) | 1 << u
+    subs: list[tuple[dict[int, int], Coloring]] = []
+    for c in sorted(class_masks):
+        sub_g, sub_d, remap = restrict(g, dec, class_masks[c])
         sub_omega = clique_number(sub_g)
         if sub_omega >= omega:
             raise ContractError("a color class kept the clique number")
-        sub = _color_recursive(sub_g, sub_d, oracle, bound, check, sub_omega)
-        inner[c] = sub
-        remaps[c] = remap
-        widest = max(widest, sub.palette_size)
+        subs.append((remap, _color_recursive(sub_g, sub_d, oracle, bound, check, sub_omega)))
 
+    widest = max(sub.palette_size for _, sub in subs)
     flat = [0] * g.n
-    for idx, c in enumerate(outer_colors):
-        remap = remaps[c]
+    for idx, (remap, sub) in enumerate(subs):
         for old, new in remap.items():
-            flat[old] = idx * widest + inner[c].colors[new]
+            flat[old] = idx * widest + sub.colors[new]
     # compress to 1..m preserving distinctness
     rank_of = {val: i + 1 for i, val in enumerate(sorted(set(flat)))}
     return Coloring(tuple(rank_of[val] for val in flat))

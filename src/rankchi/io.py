@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .coloring import JoinEdge, JoinTree
 from .decomposition import Decomposition
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .graph import Graph
 from .oracles import Coloring
 
@@ -51,7 +51,7 @@ def graph_from_text(text: str) -> Graph:
         raise ParseError(f"header promises {m} edges, file has {len(edges)}")
     try:
         return Graph.from_edges(n, edges)
-    except Exception as exc:
+    except InputError as exc:
         raise ParseError(f"invalid graph: {exc}") from exc
 
 
@@ -89,7 +89,7 @@ def decomposition_from_text(text: str, n_vertices: int) -> Decomposition:
         raise ParseError("mapping lines must cover every vertex exactly once")
     try:
         return Decomposition(num_nodes, tuple(edges), tuple(tau[v] for v in range(n_vertices)), root)
-    except Exception as exc:
+    except InputError as exc:
         raise ParseError(f"invalid decomposition: {exc}") from exc
 
 
@@ -111,7 +111,7 @@ def coloring_from_text(text: str, n_vertices: int) -> Coloring:
         raise ParseError("coloring must cover every vertex exactly once")
     try:
         return Coloring(tuple(assigned[v] for v in range(n_vertices)))
-    except Exception as exc:
+    except InputError as exc:
         raise ParseError(f"invalid coloring: {exc}") from exc
 
 
@@ -148,5 +148,5 @@ def join_tree_from_text(text: str) -> JoinTree:
         joins.append(JoinEdge(i, j, wij, wji))
     try:
         return JoinTree(tuple(pieces), tuple(joins))
-    except Exception as exc:
+    except InputError as exc:
         raise ParseError(f"invalid join tree: {exc}") from exc

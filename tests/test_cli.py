@@ -129,6 +129,53 @@ class TestColor:
         code, _ = self.run_color(tmp_path, capsys, cycle(5), "const:3", 1)
         assert code == 4
 
+    def test_empty_graph(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, Graph(0, ()))
+        (tmp_path / "g.dec").write_text("d 1\n")
+        code = main(["color", gpath, str(tmp_path / "g.dec"), "--f", "const:2", "--r", "1"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "omega=0" in out and "palette=0" in out and "bound=1" in out
+
+    def test_edgeless_graph(self, tmp_path, capsys):
+        code, out = self.run_color(tmp_path, capsys, Graph(3, (0, 0, 0)), "const:2", 0)
+        lines = out.splitlines()
+        assert code == 0
+        assert "omega=1" in lines and "palette=1" in lines and "bound=1" in lines
+        assert "check:proper=pass" in lines
+
+
+class TestUnexpectedErrors:
+    def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        path = write_graph(tmp_path, complete(3))
+
+        def out_of_memory(cls, n, edges):
+            raise MemoryError
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(out_of_memory))
+        assert main(["cutrank", path, "--set", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_unindexable_header_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        path.write_text(f"p {10**30} 0\n")
+        assert main(["cutrank", str(path), "--set", "0"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_runtime_error_is_not_a_parse_error(self, tmp_path, monkeypatch):
+        path = write_graph(tmp_path, complete(3))
+
+        def broken(cls, n, edges):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(broken))
+        with pytest.raises(RuntimeError, match="bug"):
+            graph_from_text((tmp_path / "g.graph").read_text())
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["cutrank", path, "--set", "0"])
+
 
 class TestVerify:
     def test_pass_and_fail(self, tmp_path, capsys):

@@ -143,6 +143,10 @@ class TestKeyLemma:
             col = key_lemma_coloring(g, d, exact_node_oracle, dd, k, check=True)
             assert col.palette_size <= dd * (k + 1)
             assert no_max_clique_monochromatic(g, col)
+            # a loose budget changes nothing: the palette follows the measured diversity
+            loose = key_lemma_coloring(g, d, exact_node_oracle, 64, k)
+            assert loose == col
+            assert loose.palette_size <= max(1, decomposition_diversity(g, d)) * (k + 1)
 
 
 class TestChiBoundedColoring:
