@@ -161,8 +161,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"witness={emit('rankdec', io.decomposition_to_text(witness.decomposition))}")
         print(f"rankwidth={width}")
     elif args.mode == "jointree":
-        pieces = max(2, min(args.n, 6))
-        jt = random_join_tree(rng, pieces)
+        if args.n < 2:
+            raise InputError("--n counts the pieces of a join tree and must be at least 2")
+        jt = random_join_tree(rng, args.n, p=args.p)
         composed, dec, _ = one_join_compose(jt)
         print(f"jointree={emit('jointree', io.join_tree_to_text(jt))}")
         print(f"graph={emit('graph', io.graph_to_text(composed))}")

@@ -18,12 +18,11 @@ from .decomposition import (
     decomposition_rank,
     origin,
     outside_partition,
-    piece_graph,
     restrict,
     root_normalize,
 )
 from .errors import ContractError, InputError
-from .graph import Graph, bitset, connected_components, induced_subgraph, is_connected, iter_bits, twin_classes
+from .graph import Graph, bitset, connected_components, is_connected, iter_bits
 from .oracles import Coloring, chromatic_number, clique_number, greedy_coloring, is_proper
 
 NodeColoringOracle = Callable[[Graph], Coloring]
@@ -86,31 +85,42 @@ def color_bound(bound: ChiBoundFn, s: int) -> int:
     return b
 
 
-def _twin_consistent_proper_coloring(
-    piece: Graph, oracle: NodeColoringOracle, k: int
-) -> list[int]:
-    """Proper coloring of piece, constant on twin classes, via quotient+lift.
-
-    Twin classes are pairwise fully joined or fully non-adjacent, so the
-    quotient on class representatives is an induced subgraph and the oracle's
-    budget transfers.
+def _piece_quotient(
+    g: Graph, dec: Decomposition, v: int, classes: dict[int, list[int]]
+) -> tuple[list[int], Graph, int]:
+    """twin_classes(piece_graph(g, dec, v)), the quotient on their smallest members,
+    and the vertices of class zero of V_v with a piece edge or mapped to v.  The
+    piece rows are read off the view: class j >= 1 of a child c keeps neighbors
+    outside V_c, a vertex mapped to v all of them, an outside vertex those in V_v.
     """
-    classes = twin_classes(piece)
-    reps = [(m & -m).bit_length() - 1 for m in classes]
-    quotient, remap = induced_subgraph(piece, bitset(reps))
-    qcol = oracle(quotient)
-    if not is_proper(quotient, qcol):
-        raise ContractError("piece oracle returned an improper coloring")
-    if qcol.palette_size > k:
-        raise ContractError(
-            f"piece oracle used {qcol.palette_size} colors, budget {k}"
-        )
-    lifted = [0] * piece.n
-    for mask, rep in zip(classes, reps):
-        c = qcol.colors[remap[rep]]
-        for u in iter_bits(mask):
-            lifted[u] = c
-    return lifted
+    view = dec.view
+    inside = view.pre[v]
+    home = inside  # ends as tau^-1(v)
+    groups: dict[int, int] = {}  # piece row -> the vertices with that row
+    for c in view.children[v]:
+        below = view.pre[c]
+        if below:
+            home &= ~below
+            for part in classes[c][1:]:
+                row = g.adj[(part & -part).bit_length() - 1] & ~below
+                groups[row] = groups.get(row, 0) | part
+    for u in iter_bits(home):
+        groups[g.adj[u]] = groups.get(g.adj[u], 0) | 1 << u
+    reached = 0
+    for row in groups:
+        reached |= row
+    for w in iter_bits(reached & ~inside):
+        row = g.adj[w] & inside
+        groups[row] = groups.get(row, 0) | 1 << w
+    isolated = groups[0] = g.vertex_mask - sum(part for row, part in groups.items() if row)
+    if not isolated:
+        del groups[0]
+    ordered = sorted(groups.items(), key=lambda item: item[1] & -item[1])
+    index = {(part & -part).bit_length() - 1: i for i, (_, part) in enumerate(ordered)}
+    reps = bitset(index)
+    qadj = tuple(bitset(index[u] for u in iter_bits(row & reps)) for row, _ in ordered)
+    w_mask = classes[v][0] & (home | ~isolated)
+    return [part for _, part in ordered], Graph(len(qadj), qadj), w_mask
 
 
 def key_lemma_coloring(
@@ -127,8 +137,9 @@ def key_lemma_coloring(
     at most the budget d, and an oracle coloring every piece graph with at
     most k colors.  The construction then works with the measured diversity,
     so the palette is at most max(1, diversity)·(k+1), however loose d is.
-    With check=True the four inductive properties of the construction are
-    verified after every node step.
+    Only nodes with a nonempty subtree preimage are walked, and each piece's
+    twin quotient is read off the view (piece_graph is its test reference).
+    With check=True the four inductive properties are verified at each of them.
     """
     if g.n < 2:
         raise InputError("key lemma needs a graph with at least two vertices")
@@ -145,14 +156,14 @@ def key_lemma_coloring(
     d = max(1, diversity)
 
     view = dec.view
-    order, pre = view.order, view.pre
-    classes = {v: outside_partition(g, dec, v) for v in order[1:]}
+    pre, walk = view.pre, view.occupied[1:]
+    classes = {v: outside_partition(g, dec, v) for v in walk}
 
     palette_cap = d * (k + 1)
     phi: dict[int, int] = {}
     colored_mask = 0
 
-    for step, v in enumerate(order[1:], start=2):
+    for step, v in enumerate(walk, start=1):
         vv = pre[v]
         used_on_vv = {phi[u] for u in iter_bits(vv & colored_mask)}
         if len(used_on_vv) > d:
@@ -165,41 +176,38 @@ def key_lemma_coloring(
 
         w_mask = 0
         if classes[v][0]:  # else every vertex of V_v is colored already
-            piece = piece_graph(g, dec, v)
-            w_mask = bitset(
-                u
-                for u in iter_bits(classes[v][0])
-                if piece.adj[u] or dec.tau[u] == v
-            )
-        if not w_mask:
-            if check:
-                _check_step(g, dec, order[:step], phi, classes)
-            continue
-
-        psi1 = _twin_consistent_proper_coloring(piece, oracle, k)
-        # psi2 is 1 at v itself, else the outside class in the child holding u
-        psi2 = dict.fromkeys(iter_bits(w_mask), 1)
-        for c in view.children[v]:
-            parts = classes[c]
-            if parts[0] & w_mask:
-                raise ContractError("piece-active vertex landed in class zero of a child")
-            for j in range(1, len(parts)):
-                for u in iter_bits(parts[j] & w_mask):
-                    psi2[u] = j
-
-        pairs = sorted({(psi1[u], j) for u, j in psi2.items()})
-        fresh = [c for c in range(1, palette_cap + 1) if c not in used_on_vv]
-        if len(pairs) > len(fresh):
-            raise ContractError(
-                f"{len(pairs)} fresh color classes but only {len(fresh)} colors left"
-            )
-        assignment = {pair: fresh[i] for i, pair in enumerate(pairs)}
-        for u, j in psi2.items():
-            phi[u] = assignment[(psi1[u], j)]
-        colored_mask |= w_mask
+            members, quotient, w_mask = _piece_quotient(g, dec, v, classes)
+        if w_mask:
+            qcol = oracle(quotient)
+            if not is_proper(quotient, qcol):
+                raise ContractError("piece oracle returned an improper coloring")
+            if qcol.palette_size > k:
+                raise ContractError(f"piece oracle used {qcol.palette_size} colors, budget {k}")
+            # psi1 is the piece color, constant on twin classes
+            psi1 = {u: col for part, col in zip(members, qcol.colors)
+                    for u in iter_bits(part & w_mask)}
+            # psi2 is 1 at v itself, else the outside class in the child holding u
+            psi2 = dict.fromkeys(iter_bits(w_mask), 1)
+            for c in filter(pre.__getitem__, view.children[v]):
+                parts = classes[c]
+                if parts[0] & w_mask:
+                    raise ContractError("piece-active vertex landed in class zero of a child")
+                for j in range(1, len(parts)):
+                    for u in iter_bits(parts[j] & w_mask):
+                        psi2[u] = j
+            pairs = sorted({(psi1[u], j) for u, j in psi2.items()})
+            fresh = [c for c in range(1, palette_cap + 1) if c not in used_on_vv]
+            if len(pairs) > len(fresh):
+                raise ContractError(
+                    f"{len(pairs)} fresh color classes but only {len(fresh)} colors left"
+                )
+            assignment = {pair: fresh[i] for i, pair in enumerate(pairs)}
+            for u, j in psi2.items():
+                phi[u] = assignment[(psi1[u], j)]
+            colored_mask |= w_mask
 
         if check:
-            _check_step(g, dec, order[:step], phi, classes)
+            _check_step(g, dec, walk[:step], phi, classes)
 
     if len(phi) != g.n:
         raise ContractError("construction left some vertex uncolored")
@@ -212,11 +220,15 @@ def key_lemma_coloring(
 def _check_step(
     g: Graph,
     dec: Decomposition,
-    processed: list[int],
+    processed: tuple[int, ...],
     phi: dict[int, int],
     classes: dict[int, list[int]],
 ) -> None:
-    """Debug-mode verification of the four inductive step properties."""
+    """Debug-mode verification of the four inductive step properties.
+
+    A node with an empty subtree preimage, never walked, changes none of them:
+    no vertex maps to it, no edge has it as origin, its one class is empty.
+    """
     processed_set = set(processed)
     # property 2: vertices incident to edges with processed origin are colored,
     # as are all vertices mapped to processed nodes

@@ -16,7 +16,7 @@ too.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 from .config import LIMITS
@@ -29,8 +29,9 @@ from .graph import Graph, induced_subgraph, iter_bits
 class RootedView:
     """The tree in BFS order from root over ascending adj; parent[root] is -1.
 
-    pre[x] is the bitset of vertices mapped into the subtree at x; it is
-    empty in the tree-only part that restrictions share.
+    pre[x] is the bitset of vertices mapped into the subtree at x and occupied
+    the nodes with nonempty pre, in BFS order; both are empty in the tree-only
+    part that restrictions share, whose rerooted caches root_normalize's trees.
     """
 
     root: int
@@ -39,7 +40,10 @@ class RootedView:
     parent: tuple[int, ...]
     depth: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
+    position: tuple[int, ...]  # position[x] is the index of x in order
     pre: tuple[int, ...] = ()
+    occupied: tuple[int, ...] = ()
+    rerooted: dict[int, RootedView] = field(default_factory=dict, init=False, compare=False)
 
 
 def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: int) -> RootedView:
@@ -75,6 +79,7 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
         tuple(parent),
         tuple(depth),
         tuple(map(tuple, children)),
+        tuple(sorted(range(num_nodes), key=order.__getitem__)),
     )
 
 
@@ -115,14 +120,19 @@ class Decomposition:
 
     @cached_property
     def view(self) -> RootedView:
-        """The rooted tree with pre[v] for this tau, built on first use."""
+        """The rooted tree with pre and occupied for this tau, built on first use."""
         tree = self._tree
         pre = [0] * self.num_nodes
         for v, node in enumerate(self.tau):
             pre[node] |= 1 << v
-        for x in reversed(tree.order[1:]):
+        occupied = frontier = set(self.tau)
+        while frontier:  # climb, one level at a time, to the ancestors of tau's images
+            frontier = {tree.parent[x] for x in frontier} - occupied - {-1}
+            occupied |= frontier
+        bfs = sorted(occupied, key=tree.position.__getitem__)
+        for x in reversed(bfs[1:]):
             pre[tree.parent[x]] |= pre[x]
-        return replace(tree, pre=tuple(pre))
+        return replace(tree, pre=tuple(pre), occupied=tuple(bfs))
 
     def node_adjacency(self) -> list[list[int]]:
         return [list(nbrs) for nbrs in self._tree.adj]
@@ -158,7 +168,7 @@ def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
 
 def decomposition_rank(g: Graph, d: Decomposition) -> int:
     view = d.view
-    return max((cut_rank_of(g, view.pre[v]) for v in view.order[1:]), default=0)
+    return max((cut_rank_of(g, view.pre[v]) for v in view.occupied[1:]), default=0)
 
 
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
@@ -166,10 +176,10 @@ def decomposition_diversity(g: Graph, d: Decomposition) -> int:
     view = d.view
     full = g.vertex_mask
     best = 0
-    for v in view.order[1:]:
+    for v in view.occupied[1:]:
         side = view.pre[v]
         other = full & ~side
-        if side and other:
+        if other:
             rows = set()
             reached = 0
             for u in iter_bits(side):
@@ -187,7 +197,8 @@ def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
     """Spanning subgraph keeping edges whose endpoint images straddle node v.
 
     Drops the edges inside one component of T - v: a child subtree of v, or
-    everything outside the subtree at v.
+    everything outside the subtree at v.  A reference for tests and callers:
+    the key lemma reads the piece's twin quotient off the view instead.
     """
     if not 0 <= v < d.num_nodes:
         raise InputError(f"node {v} out of range")
@@ -258,22 +269,18 @@ def root_normalize(d: Decomposition) -> Decomposition:
     """Ensure a root leaf with empty preimage, attaching a fresh leaf if needed.
 
     The added edge induces the degenerate (empty, V) cut of rank zero, so rank
-    and diversity are unchanged.
+    and diversity are unchanged.  Restrictions given the same root share one tree.
     """
     if d.root is not None:
         return d
-    adj = d._tree.adj
+    tree = d._tree
     used = set(d.tau)
-    for v in range(d.num_nodes):
-        if len(adj[v]) <= 1 and v not in used:
-            return replace(d, root=v)
     fresh = d.num_nodes
-    return Decomposition(
-        num_nodes=d.num_nodes + 1,
-        tree_edges=d.tree_edges + ((0, fresh),),
-        tau=d.tau,
-        root=fresh,
-    )
+    root = next((v for v in range(fresh) if len(tree.adj[v]) <= 1 and v not in used), fresh)
+    edges = d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
+    if root not in tree.rerooted:
+        tree.rerooted[root] = _root_tree(len(edges) + 1, edges, root)
+    return Decomposition(len(edges) + 1, edges, d.tau, root, shared_tree=tree.rerooted[root])
 
 
 def star_decomposition(g: Graph) -> Decomposition:

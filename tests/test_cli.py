@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from rankchi.io import (
     decomposition_from_text,
     graph_from_text,
     graph_to_text,
+    join_tree_from_text,
 )
 
 
@@ -265,6 +267,41 @@ class TestGen:
 
         dec = decomposition_from_text((tmp_path / "j.dec").read_text(), g.n)
         assert decomposition_rank(g, dec) <= 1
+
+    def test_jointree_n_counts_pieces(self, tmp_path, capsys):
+        out = str(tmp_path / "j")
+        assert main(["gen", "--mode", "jointree", "--n", "40", "--seed", "3", "--out", out]) == 0
+        jt = join_tree_from_text((tmp_path / "j.jointree").read_text())
+        assert len(jt.pieces) == 40
+        # a denser --p gives the same tree and piece sizes with other edges
+        dense = str(tmp_path / "k")
+        assert main(["gen", "--mode", "jointree", "--n", "40", "--seed", "3", "--p", "0.9",
+                     "--out", dense]) == 0
+        other = join_tree_from_text((tmp_path / "k.jointree").read_text())
+        assert [p.n for p in other.pieces] == [p.n for p in jt.pieces]
+        assert sum(p.num_edges for p in other.pieces) > sum(p.num_edges for p in jt.pieces)
+
+    def test_jointree_below_two_pieces_exit_2(self, tmp_path, capsys):
+        for n in ("1", "0"):
+            assert main(["gen", "--mode", "jointree", "--n", n, "--seed", "1",
+                         "--out", str(tmp_path / "j")]) == 2
+            assert "at least 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_jointree_four_pieces_output_unchanged(self, tmp_path, capsys):
+        """--n 4 --seed 9 writes the same bytes as when --n was clamped to 2..6
+        pieces and --p ignored: 0.5 is random_join_tree's default too."""
+        out = str(tmp_path / "j")
+        assert main(["gen", "--mode", "jointree", "--n", "4", "--seed", "9", "--out", out]) == 0
+        digests = {
+            ext: hashlib.sha256((tmp_path / f"j.{ext}").read_bytes()).hexdigest()[:16]
+            for ext in ("jointree", "graph", "dec")
+        }
+        assert digests == {
+            "jointree": "88e7bfa0b6a62cc6",
+            "graph": "f04f67cf40b7f577",
+            "dec": "a99c6d86eff991c2",
+        }
 
 
 class TestVminor:

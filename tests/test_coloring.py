@@ -38,6 +38,10 @@ from rankchi.generate import (
     random_decomposition,
     random_join_tree,
 )
+from rankchi import coloring
+from rankchi.decomposition import restrict
+
+from helpers import naive_subtree_preimages
 
 
 def measured_budgets(g, d):
@@ -147,6 +151,32 @@ class TestKeyLemma:
             loose = key_lemma_coloring(g, d, exact_node_oracle, 64, k)
             assert loose == col
             assert loose.palette_size <= max(1, decomposition_diversity(g, d)) * (k + 1)
+
+    def test_work_follows_the_occupied_subtree(self, monkeypatch):
+        """On a few vertices of a large star, outside classes are built and the
+        check=True properties verified once per node with a nonempty preimage."""
+        calls = {"outside_partition": 0, "_check_step": 0}
+
+        def counted(name):
+            original = getattr(coloring, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(coloring, name, counted(name))
+        g = path_graph(2000)
+        h, sub, _ = restrict(g, star_decomposition(g), (1 << 1000) - (1 << 995))
+        col = key_lemma_coloring(h, sub, exact_node_oracle, 2, 2, check=True)
+        assert no_max_clique_monochromatic(h, col) and col.palette_size <= 2 * 3
+        normalized = root_normalize(sub)
+        occupied = sum(1 for x, side in enumerate(naive_subtree_preimages(normalized))
+                       if side and x != normalized.root)
+        assert occupied == 6  # the center and the five leaves holding h
+        assert calls == {"outside_partition": occupied, "_check_step": occupied}
 
 
 class TestChiBoundedColoring:

@@ -19,6 +19,7 @@ from rankchi import (
     decomposition_rank,
     edge_cut,
     exact_rank_width,
+    induced_subgraph,
     origin,
     outside_partition,
     path_graph,
@@ -26,8 +27,10 @@ from rankchi import (
     restrict,
     root_normalize,
     star_decomposition,
+    twin_classes,
     validate_rank_decomposition,
 )
+from rankchi.coloring import _piece_quotient
 from rankchi.decomposition import rooted_parents, subtree_preimages
 from rankchi.generate import (
     random_cubic_decomposition,
@@ -387,6 +390,18 @@ class TestRootNormalize:
         g = path_graph(2)
         assert decomposition_rank(g, normalized) == decomposition_rank(g, d)
 
+    def test_restrictions_with_one_root_share_one_tree(self):
+        g = path_graph(600)
+        star = star_decomposition(g)  # leaf i + 1 holds vertex i
+        path = Decomposition(3, ((0, 1), (1, 2)), (0, 2) * 300)  # no empty leaf
+        for d, root in ((star, 1), (path, 3)):
+            a = root_normalize(restrict(g, d, bitset(range(300, 303)))[1])
+            b = root_normalize(restrict(g, d, bitset((400, 401, 405)))[1])
+            assert a.root == b.root == root
+            assert a._tree is b._tree
+            assert rooted_parents(a) == naive_parents(a)
+            assert rooted_parents(b) == naive_parents(b)
+
 
 def random_tree_decomposition(rng, g):
     """Random tree with shuffled node ids and 0-3 extra empty leaves; half the
@@ -448,6 +463,31 @@ class TestRootedViewAgainstOracles:
             for dec in (d, normalized):
                 h, sub, _ = restrict(g, dec, s)
                 assert_view_matches_oracles(h, sub)
+
+    def test_piece_quotient_matches_twin_classes_of_piece_graph(self):
+        """The quotient read off the view equals the one twin_classes and
+        induced_subgraph give on the n-vertex piece graph."""
+        rng = random.Random(11)
+        empty_children = 0
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.8))
+            d = random_tree_decomposition(rng, g)
+            h, sub, _ = restrict(g, d, random_vertex_subset(rng, g.n))
+            for graph, dec in ((g, root_normalize(d)), (h, root_normalize(sub))):
+                view = dec.view
+                walked = [v for v in range(dec.num_nodes) if v != dec.root and view.pre[v]]
+                classes = {v: outside_partition(graph, dec, v) for v in walked}
+                for v in walked:
+                    empty_children += sum(not view.pre[c] for c in view.children[v])
+                    piece = piece_graph(graph, dec, v)
+                    expected = twin_classes(piece)
+                    quotient, _ = induced_subgraph(piece, sum(m & -m for m in expected))
+                    active = bitset(
+                        u for u in range(graph.n)
+                        if classes[v][0] >> u & 1 and (piece.adj[u] or dec.tau[u] == v)
+                    )
+                    assert _piece_quotient(graph, dec, v, classes) == (expected, quotient, active)
+        assert empty_children > 100
 
     def test_rooted_parents_and_non_edges(self):
         rng = random.Random(10)
