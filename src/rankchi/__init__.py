@@ -17,7 +17,8 @@ from .coloring import (
     key_lemma_coloring,
     one_join_compose,
 )
-from .cuts import CutMatrix, cut_diversity, cut_matrix, cut_rank, cut_rank_of, gf2_rank
+from .cuts import (CutMatrix, cut_diversity, cut_diversity_of, cut_matrix, cut_rank,
+                   cut_rank_of, gf2_rank)
 from .decomposition import (
     Decomposition,
     RankDecomposition,

@@ -21,7 +21,7 @@ from .coloring import (
     exact_node_oracle,
     one_join_compose,
 )
-from .cuts import cut_diversity, cut_matrix, cut_rank
+from .cuts import cut_diversity_of, cut_rank_of
 from .decomposition import (
     decomposition_rank,
     exact_rank_width,
@@ -56,11 +56,14 @@ def _load_graph(path: str):
     return io.graph_from_text(_read(path))
 
 
-def _parse_vertex_set(spec: str) -> int:
+def _parse_vertex_set(spec: str, n: int) -> int:
     try:
-        return bitset(int(tok) for tok in spec.replace(",", " ").split())
+        ids = [int(tok) for tok in spec.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"bad vertex set {spec!r}") from exc
+    if not all(0 <= v < n for v in ids):  # before 1 << id allocates for a huge id
+        raise InputError("vertex set contains ids outside the graph")
+    return bitset(ids)
 
 
 def _parse_bound(f_spec: str, r: int) -> ChiBoundFn:
@@ -78,11 +81,8 @@ def _parse_bound(f_spec: str, r: int) -> ChiBoundFn:
 
 def cmd_cutrank(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    w = _parse_vertex_set(args.set)
-    if w & ~g.vertex_mask:
-        raise InputError("vertex set contains ids outside the graph")
-    m = cut_matrix(g, w)
-    print(f"rank={cut_rank(m)} diversity={cut_diversity(m)}")
+    w = _parse_vertex_set(args.set, g.n)
+    print(f"rank={cut_rank_of(g, w)} diversity={cut_diversity_of(g, w)}")
     return 0
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .cuts import cut_classes
 from .decomposition import (
     Decomposition,
-    decomposition_diversity,
+    _ordered_classes,
     decomposition_rank,
     origin,
-    outside_partition,
     restrict,
     root_normalize,
 )
@@ -86,40 +86,29 @@ def color_bound(bound: ChiBoundFn, s: int) -> int:
 
 
 def _piece_quotient(
-    g: Graph, dec: Decomposition, v: int, classes: dict[int, list[int]]
+    g: Graph, dec: Decomposition, v: int, cuts: dict[int, tuple[dict[int, int], dict[int, int]]]
 ) -> tuple[list[int], Graph, int]:
     """twin_classes(piece_graph(g, dec, v)), the quotient on their smallest members,
     and the vertices of class zero of V_v with a piece edge or mapped to v.  The
-    piece rows are read off the view: class j >= 1 of a child c keeps neighbors
-    outside V_c, a vertex mapped to v all of them, an outside vertex those in V_v.
-    """
+    piece rows are read off cuts[x] = cut_classes(g, V_x): an outside vertex keeps
+    its column of the cut at v, a vertex below a child c its row of the cut at c,
+    and a vertex mapped to v all its neighbors.  Row zero holds the isolated ones."""
     view = dec.view
-    inside = view.pre[v]
-    home = inside  # ends as tau^-1(v)
-    groups: dict[int, int] = {}  # piece row -> the vertices with that row
-    for c in view.children[v]:
-        below = view.pre[c]
-        if below:
-            home &= ~below
-            for part in classes[c][1:]:
-                row = g.adj[(part & -part).bit_length() - 1] & ~below
-                groups[row] = groups.get(row, 0) | part
+    rows, cols = cuts[v]
+    home = view.pre[v]  # ends as tau^-1(v)
+    groups = dict(cols)  # piece row -> the vertices with that row
+    for c in filter(view.pre.__getitem__, view.children[v]):
+        home &= ~view.pre[c]
+        for row, part in cuts[c][0].items():
+            groups[row] = groups.get(row, 0) | part
     for u in iter_bits(home):
         groups[g.adj[u]] = groups.get(g.adj[u], 0) | 1 << u
-    reached = 0
-    for row in groups:
-        reached |= row
-    for w in iter_bits(reached & ~inside):
-        row = g.adj[w] & inside
-        groups[row] = groups.get(row, 0) | 1 << w
-    isolated = groups[0] = g.vertex_mask - sum(part for row, part in groups.items() if row)
-    if not isolated:
-        del groups[0]
+    isolated = groups.get(0, 0)
     ordered = sorted(groups.items(), key=lambda item: item[1] & -item[1])
     index = {(part & -part).bit_length() - 1: i for i, (_, part) in enumerate(ordered)}
     reps = bitset(index)
     qadj = tuple(bitset(index[u] for u in iter_bits(row & reps)) for row, _ in ordered)
-    w_mask = classes[v][0] & (home | ~isolated)
+    w_mask = rows.get(0, 0) & (home | ~isolated)
     return [part for _, part in ordered], Graph(len(qadj), qadj), w_mask
 
 
@@ -137,8 +126,9 @@ def key_lemma_coloring(
     at most the budget d, and an oracle coloring every piece graph with at
     most k colors.  The construction then works with the measured diversity,
     so the palette is at most max(1, diversity)·(k+1), however loose d is.
-    Only nodes with a nonempty subtree preimage are walked, and each piece's
-    twin quotient is read off the view (piece_graph is its test reference).
+    Only nodes with a nonempty subtree preimage are walked.  Each one's cut is
+    read once, by cut_classes, for its diversity, its outside classes and its
+    piece's twin quotient (piece_graph is the quotient's test reference).
     With check=True the four inductive properties are verified at each of them.
     """
     if g.n < 2:
@@ -150,14 +140,14 @@ def key_lemma_coloring(
     if k < 1:
         raise InputError("piece color budget k must be at least 1")
     dec = root_normalize(d_input)
-    diversity = decomposition_diversity(g, dec)
+    view = dec.view
+    pre, walk = view.pre, view.occupied[1:]
+    cuts = {v: cut_classes(g, pre[v]) for v in walk}
+    diversity = max((max(map(len, cut)) for cut in cuts.values() if all(cut)), default=0)
     if diversity > d:
         raise ContractError(f"decomposition diversity {diversity} exceeds budget {d}")
     d = max(1, diversity)
-
-    view = dec.view
-    pre, walk = view.pre, view.occupied[1:]
-    classes = {v: outside_partition(g, dec, v) for v in walk}
+    classes = {v: _ordered_classes(rows) for v, (rows, _) in cuts.items()}
 
     palette_cap = d * (k + 1)
     phi: dict[int, int] = {}
@@ -176,7 +166,7 @@ def key_lemma_coloring(
 
         w_mask = 0
         if classes[v][0]:  # else every vertex of V_v is colored already
-            members, quotient, w_mask = _piece_quotient(g, dec, v, classes)
+            members, quotient, w_mask = _piece_quotient(g, dec, v, cuts)
         if w_mask:
             qcol = oracle(quotient)
             if not is_proper(quotient, qcol):
@@ -374,7 +364,9 @@ class JoinTree:
                 markers[piece].add(marker)
 
 
-def _marker_sets(jt: JoinTree) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
+def _marker_sets(jt: JoinTree) -> tuple[dict, list[list[int]], list[int], dict]:
+    """marker_of[(i, j)], piece i's marker toward j; each piece's neighbors; its
+    markers as a bitset; and vmap, the global id of each other (piece, vertex)."""
     marker_of: dict[tuple[int, int], int] = {}
     nbr: list[list[int]] = [[] for _ in jt.pieces]
     for e in jt.joins:
@@ -382,7 +374,13 @@ def _marker_sets(jt: JoinTree) -> tuple[dict[tuple[int, int], int], list[list[in
         marker_of[(e.right, e.left)] = e.right_marker
         nbr[e.left].append(e.right)
         nbr[e.right].append(e.left)
-    return marker_of, nbr
+    consumed = [bitset(marker_of[(i, j)] for j in nbr[i]) for i in range(len(jt.pieces))]
+    vmap: dict[tuple[int, int], int] = {}
+    for i, piece in enumerate(jt.pieces):
+        for u in range(piece.n):
+            if not consumed[i] >> u & 1:
+                vmap[(i, u)] = len(vmap)
+    return marker_of, nbr, consumed, vmap
 
 
 def one_join_compose(
@@ -395,31 +393,27 @@ def one_join_compose(
     order.  With check=True the composition is also replayed as sequential
     pairwise joins in two different edge orders and compared.
     """
-    marker_of, nbr = _marker_sets(jt)
-    consumed = [bitset(marker_of[(i, j)] for j in nbr[i]) for i in range(len(jt.pieces))]
-    vmap: dict[tuple[int, int], int] = {}
-    for i, piece in enumerate(jt.pieces):
-        for u in range(piece.n):
-            if not consumed[i] >> u & 1:
-                vmap[(i, u)] = len(vmap)
+    marker_of, nbr, consumed, vmap = _marker_sets(jt)
     n = len(vmap)
-
-    frontier_memo: dict[tuple[int, int], int] = {}
-
-    def frontier(i: int, j: int) -> int:
-        """Global bitset transmitted from piece i's side across tree edge (i, j)."""
-        key = (i, j)
-        if key in frontier_memo:
-            return frontier_memo[key]
-        w = marker_of[key]
+    order, parent = [0], [-1] * len(jt.pieces)
+    for i in order:
+        for j in nbr[i]:
+            if j != parent[i]:  # in a tree, every other neighbor is a child
+                parent[j] = i
+                order.append(j)
+    # frontier[(i, j)], sent from piece i's side across edge (i, j), needs those
+    # sent to i across its other edges: child -> parent bottom-up, then top-down
+    frontier: dict[tuple[int, int], int] = {}
+    up = [(i, parent[i]) for i in reversed(order[1:])]
+    for i, j in up + [(j, i) for i, j in reversed(up)]:
+        w = marker_of[(i, j)]
         s = 0
         for u in iter_bits(jt.pieces[i].adj[w] & ~consumed[i]):
             s |= 1 << vmap[(i, u)]
         for h in nbr[i]:
             if h != j and jt.pieces[i].has_edge(w, marker_of[(i, h)]):
-                s |= frontier(h, i)
-        frontier_memo[key] = s
-        return s
+                s |= frontier[(h, i)]
+        frontier[(i, j)] = s
 
     adj = [0] * n
     for i, piece in enumerate(jt.pieces):
@@ -430,8 +424,8 @@ def one_join_compose(
             adj[gu] |= 1 << gw
             adj[gw] |= 1 << gu
     for e in jt.joins:
-        left = frontier(e.left, e.right)
-        right = frontier(e.right, e.left)
+        left = frontier[(e.left, e.right)]
+        right = frontier[(e.right, e.left)]
         for u in iter_bits(left):
             adj[u] |= right
         for w in iter_bits(right):
@@ -464,14 +458,7 @@ def compose_sequential(jt: JoinTree, edge_order: list[JoinEdge]) -> Graph:
     """
     from .graph import one_join
 
-    marker_of, nbr = _marker_sets(jt)
-    consumed = [bitset(marker_of[(i, j)] for j in nbr[i]) for i in range(len(jt.pieces))]
-    vmap: dict[tuple[int, int], int] = {}
-    for i, piece in enumerate(jt.pieces):
-        for u in range(piece.n):
-            if not consumed[i] >> u & 1:
-                vmap[(i, u)] = len(vmap)
-
+    vmap = _marker_sets(jt)[3]
     comp_of = list(range(len(jt.pieces)))
     graphs: dict[int, Graph] = dict(enumerate(jt.pieces))
     labels: dict[int, list[tuple[int, int]]] = {

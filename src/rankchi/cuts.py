@@ -1,4 +1,7 @@
-"""Cut matrices of vertex bipartitions, GF(2) rank, and diversity."""
+"""Cuts of vertex bipartitions: row/column classes, GF(2) rank and diversity.
+
+cut_classes groups a cut's rows and columns in one read of the adjacency; a
+decomposition's diversity, outside classes and piece rows all come from it."""
 
 from __future__ import annotations
 
@@ -80,7 +83,33 @@ def cut_rank_of(g: Graph, w: int) -> int:
     """Rank of the cut (w, rest) without materializing column indices."""
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
-    other = g.vertex_mask & ~w
-    if not w or not other:
-        return 0
+    other = g.vertex_mask & ~w  # all rows are zero when a side is empty
     return gf2_rank([g.adj[u] & other for u in iter_bits(w)])
+
+
+def cut_classes(g: Graph, w: int) -> tuple[dict[int, int], dict[int, int]]:
+    """rows maps each distinct row adj[u] & rest of the cut (w, rest) to the u in w
+    having it, cols each distinct column adj[x] & w to the x in rest having it.
+    Only the vertices reached from w are grouped; the rest is the zero column."""
+    if w & ~g.vertex_mask:
+        raise InputError("cut side contains vertices outside the graph")
+    rest = g.vertex_mask & ~w
+    rows: dict[int, int] = {}
+    reached = 0
+    for u in iter_bits(w):
+        row = g.adj[u] & rest
+        rows[row] = rows.get(row, 0) | 1 << u
+        reached |= row
+    cols: dict[int, int] = {}
+    for x in iter_bits(reached):
+        col = g.adj[x] & w
+        cols[col] = cols.get(col, 0) | 1 << x
+    if rest & ~reached:
+        cols[0] = rest & ~reached
+    return rows, cols
+
+
+def cut_diversity_of(g: Graph, w: int) -> int:
+    """max(#distinct rows, #distinct columns) of the cut (w, rest); 0 if a side is empty."""
+    rows, cols = cut_classes(g, w)
+    return max(len(rows), len(cols)) if rows and cols else 0

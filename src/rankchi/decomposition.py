@@ -20,7 +20,7 @@ from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 from .config import LIMITS
-from .cuts import cut_rank_of
+from .cuts import cut_classes, cut_diversity_of, cut_rank_of
 from .errors import InputError, ResourceError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
 
@@ -36,11 +36,10 @@ class RootedView:
 
     root: int
     adj: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]
     parent: tuple[int, ...]
     depth: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
-    position: tuple[int, ...]  # position[x] is the index of x in order
+    position: tuple[int, ...]  # position[x] is the index of x in BFS order
     pre: tuple[int, ...] = ()
     occupied: tuple[int, ...] = ()
     rerooted: dict[int, RootedView] = field(default_factory=dict, init=False, compare=False)
@@ -75,7 +74,6 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
     return RootedView(
         root,
         tuple(map(tuple, adj)),
-        tuple(order),
         tuple(parent),
         tuple(depth),
         tuple(map(tuple, children)),
@@ -174,23 +172,7 @@ def decomposition_rank(g: Graph, d: Decomposition) -> int:
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
     """Max over tree edges of the cut's max(#distinct rows, #distinct columns)."""
     view = d.view
-    full = g.vertex_mask
-    best = 0
-    for v in view.occupied[1:]:
-        side = view.pre[v]
-        other = full & ~side
-        if other:
-            rows = set()
-            reached = 0
-            for u in iter_bits(side):
-                row = g.adj[u] & other
-                rows.add(row)
-                reached |= row
-            cols = {g.adj[w] & side for w in iter_bits(reached)}
-            if other & ~reached:  # the columns of unreached vertices are all zero
-                cols.add(0)
-            best = max(best, len(rows), len(cols))
-    return best
+    return max((cut_diversity_of(g, view.pre[v]) for v in view.occupied[1:]), default=0)
 
 
 def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
@@ -246,14 +228,12 @@ def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
     view = _rooted_view(d)
     if v == d.root:
         raise InputError("outside partition is undefined at the root")
-    vv = view.pre[v]
-    groups: dict[int, int] = {}
-    for u in iter_bits(vv):
-        out = g.adj[u] & ~vv
-        groups[out] = groups.get(out, 0) | (1 << u)
-    classes = [groups.pop(0, 0)]
-    classes.extend(groups[key] for key in sorted(groups))
-    return classes
+    return _ordered_classes(cut_classes(g, view.pre[v])[0])
+
+
+def _ordered_classes(rows: dict[int, int]) -> list[int]:
+    """The row classes of a cut as outside classes: zero first, then by row."""
+    return [rows.get(0, 0)] + [rows[row] for row in sorted(rows) if row]
 
 
 def restrict(g: Graph, d: Decomposition, s: int) -> tuple[Graph, Decomposition, dict[int, int]]:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -45,6 +46,18 @@ class TestCutrank:
     def test_bad_set_exit_2(self, tmp_path):
         path = write_graph(tmp_path, complete(3))
         assert main(["cutrank", path, "--set", "7"]) == 2
+
+    def test_huge_or_negative_id_refused_before_allocation(self, tmp_path):
+        """An id is checked against n before 1 << id builds a bitset that large."""
+        path = write_graph(tmp_path, complete(3))
+        for spec in ("100000000", "0,-1"):
+            tracemalloc.start()
+            try:
+                assert main(["cutrank", path, "--set", spec]) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 class TestRankwidth:

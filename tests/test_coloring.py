@@ -153,9 +153,9 @@ class TestKeyLemma:
             assert loose.palette_size <= max(1, decomposition_diversity(g, d)) * (k + 1)
 
     def test_work_follows_the_occupied_subtree(self, monkeypatch):
-        """On a few vertices of a large star, outside classes are built and the
-        check=True properties verified once per node with a nonempty preimage."""
-        calls = {"outside_partition": 0, "_check_step": 0}
+        """On a few vertices of a large star, the cut is read and the check=True
+        properties verified once per node with a nonempty preimage."""
+        calls = {"cut_classes": 0, "_check_step": 0}
 
         def counted(name):
             original = getattr(coloring, name)
@@ -176,7 +176,7 @@ class TestKeyLemma:
         occupied = sum(1 for x, side in enumerate(naive_subtree_preimages(normalized))
                        if side and x != normalized.root)
         assert occupied == 6  # the center and the five leaves holding h
-        assert calls == {"outside_partition": occupied, "_check_step": occupied}
+        assert calls == {"cut_classes": occupied, "_check_step": occupied}
 
 
 class TestChiBoundedColoring:
@@ -273,6 +273,24 @@ class TestJoinTree:
             order = list(jt.joins)
             rng.shuffle(order)
             assert compose_sequential(jt, order) == composed
+
+    def test_long_marker_chain_composes(self):
+        """Adjacent markers pass each frontier on through every piece of a path of
+        triangles, so the frontiers chain 1,500 pieces deep."""
+        pieces = 1500
+        jt = JoinTree((complete(3),) * pieces,
+                      tuple(JoinEdge(i, i + 1, 1, 0) for i in range(pieces - 1)))
+        composed, dec, _ = one_join_compose(jt)
+        n = pieces + 2  # every kept vertex is adjacent to every other
+        assert composed.n == n and composed.num_edges == n * (n - 1) // 2
+        assert decomposition_rank(composed, dec) <= 1
+
+    def test_marker_chain_matches_sequential_joins(self):
+        pieces = 60
+        jt = JoinTree((complete(3),) * pieces,
+                      tuple(JoinEdge(i, i + 1, 1, 0) for i in range(pieces - 1)))
+        composed, _, _ = one_join_compose(jt, check=True)
+        assert compose_sequential(jt, list(jt.joins)) == composed
 
     def test_composed_coloring_proper(self):
         rng = random.Random(4)

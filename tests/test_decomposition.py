@@ -31,6 +31,7 @@ from rankchi import (
     validate_rank_decomposition,
 )
 from rankchi.coloring import _piece_quotient
+from rankchi.cuts import cut_classes
 from rankchi.decomposition import rooted_parents, subtree_preimages
 from rankchi.generate import (
     random_cubic_decomposition,
@@ -477,6 +478,7 @@ class TestRootedViewAgainstOracles:
                 view = dec.view
                 walked = [v for v in range(dec.num_nodes) if v != dec.root and view.pre[v]]
                 classes = {v: outside_partition(graph, dec, v) for v in walked}
+                cuts = {v: cut_classes(graph, view.pre[v]) for v in walked}
                 for v in walked:
                     empty_children += sum(not view.pre[c] for c in view.children[v])
                     piece = piece_graph(graph, dec, v)
@@ -486,7 +488,7 @@ class TestRootedViewAgainstOracles:
                         u for u in range(graph.n)
                         if classes[v][0] >> u & 1 and (piece.adj[u] or dec.tau[u] == v)
                     )
-                    assert _piece_quotient(graph, dec, v, classes) == (expected, quotient, active)
+                    assert _piece_quotient(graph, dec, v, cuts) == (expected, quotient, active)
         assert empty_children > 100
 
     def test_rooted_parents_and_non_edges(self):

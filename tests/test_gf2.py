@@ -9,15 +9,16 @@ from rankchi import (
     bitset,
     complete,
     cut_diversity,
+    cut_diversity_of,
     cut_matrix,
     cut_rank,
     cut_rank_of,
     cycle,
 )
-from rankchi.cuts import transpose
+from rankchi.cuts import cut_classes, transpose
 from rankchi.generate import random_graph
 
-from helpers import matrix_of_cut, naive_gf2_rank, random_vertex_subset
+from helpers import matrix_of_cut, naive_cut_diversity, naive_gf2_rank, random_vertex_subset
 
 
 class TestCutMatrix:
@@ -79,6 +80,37 @@ class TestCutDiversity:
         # rows 10, 11, 00 -> 3 distinct rows; columns 110, 010 -> 2 distinct
         m = CutMatrix((0b01, 0b11, 0b00), (0, 1, 2), (3, 4))
         assert cut_diversity(m) == 3
+
+
+class TestCutClasses:
+    def test_against_naive_grouping(self):
+        """Rows and columns of the 0/1 matrix grouped one by one, on random cuts
+        that include empty and full sides."""
+        rng = random.Random(6)
+        for trial in range(400):
+            n = rng.randint(0, 12)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+            if trial % 10:
+                w = random_vertex_subset(rng, n)
+            else:  # every tenth cut has an empty or a full side
+                w = g.vertex_mask if trial % 20 else 0
+            side = [v for v in range(n) if w >> v & 1]
+            other = [v for v in range(n) if not w >> v & 1]
+            matrix = matrix_of_cut(g, side)
+            rows, cols = {}, {}
+            for u, row in zip(side, matrix):
+                key = bitset(x for x, bit in zip(other, row) if bit)
+                rows[key] = rows.get(key, 0) | 1 << u
+            for j, x in enumerate(other):
+                key = bitset(u for u, row in zip(side, matrix) if row[j])
+                cols[key] = cols.get(key, 0) | 1 << x
+            assert cut_classes(g, w) == (rows, cols)
+            assert cut_diversity_of(g, w) == naive_cut_diversity(g, w)
+
+    def test_side_outside_the_graph(self):
+        for measure in (cut_classes, cut_diversity_of):
+            with pytest.raises(InputError):
+                measure(complete(3), bitset([3]))
 
 
 class TestProperties:
