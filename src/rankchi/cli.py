@@ -67,12 +67,9 @@ def _parse_vertex_set(spec: str, n: int) -> int:
 
 
 def _parse_bound(f_spec: str, r: int) -> ChiBoundFn:
-    if f_spec.startswith("const:"):
-        try:
-            return ChiBoundFn.constant(int(f_spec.split(":", 1)[1]), r)
-        except ValueError as exc:
-            raise ParseError(f"bad --f value {f_spec!r}") from exc
     try:
+        if f_spec.startswith("const:"):
+            return ChiBoundFn.constant(int(f_spec.split(":", 1)[1]), r)
         table = tuple(int(tok) for tok in f_spec.split(","))
     except ValueError as exc:
         raise ParseError(f"bad --f value {f_spec!r}") from exc
@@ -110,7 +107,12 @@ def cmd_color(args: argparse.Namespace) -> int:
     Path(out).write_text(io.coloring_to_text(coloring))
     print(f"omega={omega}")
     print(f"palette={coloring.palette_size}")
-    print(f"bound={color_bound(bound, max(omega, 1))}")
+    b = color_bound(bound, max(omega, 1))
+    try:
+        b_text = str(b)
+    except ValueError:  # too many digits for int-to-str conversion; hex has no limit
+        b_text = hex(b)
+    print(f"bound={b_text}")
     print("check:proper=pass")
     print("check:palette_within_bound=pass")
     print(f"coloring={out}")
@@ -237,19 +239,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (MemoryError, OverflowError) as exc:
-        # a size read from the input (say a graph header) cannot be allocated
-        print(f"error: input too large to allocate ({type(exc).__name__})", file=sys.stderr)
+    except (ResourceError, MemoryError, OverflowError) as exc:
+        # MemoryError, OverflowError: a size read from the input cannot be allocated
+        too_large = f"input too large to allocate ({type(exc).__name__})"
+        print(f"error: {exc if isinstance(exc, ResourceError) else too_large}", file=sys.stderr)
         return 3
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ParseError, ValidationError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RankchiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from .decomposition import (
     root_normalize,
 )
 from .errors import ContractError, InputError
-from .graph import Graph, bitset, connected_components, is_connected, iter_bits
+from .graph import Graph, bitset, connected_components, is_connected, iter_bits, one_join
 from .oracles import Coloring, chromatic_number, clique_number, greedy_coloring, is_proper
 
 NodeColoringOracle = Callable[[Graph], Coloring]
@@ -288,8 +288,6 @@ def _color_recursive(
     omega: int,
 ) -> Coloring:
     """Coloring of g within color_bound(bound, omega), where omega = ω(g)."""
-    if g.n == 0:
-        return Coloring(())
     if omega <= 1:
         return Coloring((1,) * g.n)
 
@@ -364,23 +362,22 @@ class JoinTree:
                 markers[piece].add(marker)
 
 
-def _marker_sets(jt: JoinTree) -> tuple[dict, list[list[int]], list[int], dict]:
-    """marker_of[(i, j)], piece i's marker toward j; each piece's neighbors; its
-    markers as a bitset; and vmap, the global id of each other (piece, vertex)."""
+def _marker_sets(jt: JoinTree) -> tuple[dict, list[int], dict]:
+    """marker_of[(i, j)], piece i's marker toward j; each piece's markers as a
+    bitset; and vmap, the global id of each other (piece, vertex), in id order."""
     marker_of: dict[tuple[int, int], int] = {}
-    nbr: list[list[int]] = [[] for _ in jt.pieces]
+    consumed = [0] * len(jt.pieces)
     for e in jt.joins:
         marker_of[(e.left, e.right)] = e.left_marker
         marker_of[(e.right, e.left)] = e.right_marker
-        nbr[e.left].append(e.right)
-        nbr[e.right].append(e.left)
-    consumed = [bitset(marker_of[(i, j)] for j in nbr[i]) for i in range(len(jt.pieces))]
+        consumed[e.left] |= 1 << e.left_marker
+        consumed[e.right] |= 1 << e.right_marker
     vmap: dict[tuple[int, int], int] = {}
     for i, piece in enumerate(jt.pieces):
         for u in range(piece.n):
             if not consumed[i] >> u & 1:
                 vmap[(i, u)] = len(vmap)
-    return marker_of, nbr, consumed, vmap
+    return marker_of, consumed, vmap
 
 
 def one_join_compose(
@@ -389,28 +386,30 @@ def one_join_compose(
     """Compose the pieces along the join tree; emit the rank-1 decomposition.
 
     Cross edges are found by propagating marker-neighborhood frontiers over
-    the tree, which makes the result manifestly independent of any join
-    order.  With check=True the composition is also replayed as sequential
-    pairwise joins in two different edge orders and compared.
+    the decomposition's rooted view, which makes the result manifestly
+    independent of any join order.  With check=True the composition is also
+    replayed as sequential pairwise joins in two different edge orders and
+    compared.
     """
-    marker_of, nbr, consumed, vmap = _marker_sets(jt)
+    marker_of, consumed, vmap = _marker_sets(jt)
     n = len(vmap)
-    order, parent = [0], [-1] * len(jt.pieces)
-    for i in order:
-        for j in nbr[i]:
-            if j != parent[i]:  # in a tree, every other neighbor is a child
-                parent[j] = i
-                order.append(j)
+    dec = Decomposition(
+        num_nodes=len(jt.pieces),
+        tree_edges=tuple((e.left, e.right) for e in jt.joins),
+        tau=tuple(i for i, _ in vmap),
+    )
+    view = dec.view
+    order = sorted(range(len(jt.pieces)), key=view.position.__getitem__)
     # frontier[(i, j)], sent from piece i's side across edge (i, j), needs those
     # sent to i across its other edges: child -> parent bottom-up, then top-down
     frontier: dict[tuple[int, int], int] = {}
-    up = [(i, parent[i]) for i in reversed(order[1:])]
+    up = [(i, view.parent[i]) for i in reversed(order[1:])]
     for i, j in up + [(j, i) for i, j in reversed(up)]:
         w = marker_of[(i, j)]
         s = 0
         for u in iter_bits(jt.pieces[i].adj[w] & ~consumed[i]):
             s |= 1 << vmap[(i, u)]
-        for h in nbr[i]:
+        for h in view.adj[i]:
             if h != j and jt.pieces[i].has_edge(w, marker_of[(i, h)]):
                 s |= frontier[(h, i)]
         frontier[(i, j)] = s
@@ -431,15 +430,6 @@ def one_join_compose(
         for w in iter_bits(right):
             adj[w] |= left
     composed = Graph(n, tuple(adj))
-
-    tau = [0] * n
-    for (i, _), gid in vmap.items():
-        tau[gid] = i
-    dec = Decomposition(
-        num_nodes=len(jt.pieces),
-        tree_edges=tuple((e.left, e.right) for e in jt.joins),
-        tau=tuple(tau),
-    )
     rank = decomposition_rank(composed, dec)
     if rank > 1:
         raise ContractError(f"1-join decomposition has rank {rank} > 1")
@@ -456,9 +446,7 @@ def compose_sequential(jt: JoinTree, edge_order: list[JoinEdge]) -> Graph:
     Returns the composed graph relabeled to the same global ids that
     one_join_compose assigns, so results are directly comparable.
     """
-    from .graph import one_join
-
-    vmap = _marker_sets(jt)[3]
+    vmap = _marker_sets(jt)[2]
     comp_of = list(range(len(jt.pieces)))
     graphs: dict[int, Graph] = dict(enumerate(jt.pieces))
     labels: dict[int, list[tuple[int, int]]] = {

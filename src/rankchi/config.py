@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import ResourceError
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -28,3 +30,10 @@ class Limits:
 
 
 LIMITS = Limits.from_env()
+
+
+def check_ceiling(what: str, n: int, limit: int | None, default: int) -> None:
+    """Raise ResourceError if n exceeds the explicit limit, else the RANKCHI_* default."""
+    cap = limit if limit is not None else default
+    if n > cap:
+        raise ResourceError(f"{what} limited to n <= {cap} (got {n})")

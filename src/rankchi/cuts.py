@@ -65,8 +65,6 @@ def gf2_rank(rows: list[int]) -> int:
 
 def cut_rank(m: CutMatrix) -> int:
     """GF(2) rank of the cut matrix; 0 for an empty matrix."""
-    if not m.rows or not m.col_index:
-        return 0
     return gf2_rank(list(m.rows))
 
 

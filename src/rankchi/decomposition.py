@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
-from .config import LIMITS
+from .config import LIMITS, check_ceiling
 from .cuts import cut_classes, cut_diversity_of, cut_rank_of
-from .errors import InputError, ResourceError, StateError, ValidationError
+from .errors import InputError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
 
 
@@ -308,9 +308,7 @@ def exact_rank_width(
     split found for each X.  Time O(3^n), memory O(2^n).
     """
     n = g.n
-    cap = limit if limit is not None else LIMITS.rank_width_n
-    if n > cap:
-        raise ResourceError(f"exact rank-width limited to n <= {cap} (got {n})")
+    check_ceiling("exact rank-width", n, limit, LIMITS.rank_width_n)
     if n <= 1:
         d = Decomposition(1, (), tuple(0 for _ in range(n)))
         return 0, RankDecomposition(d, 0)

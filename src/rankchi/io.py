@@ -36,13 +36,11 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> Graph:
-    lines = _tokens(text)
-    if not lines or lines[0][0] != "p" or len(lines[0]) != 3:
-        raise ParseError("graph file must start with a 'p <n> <m>' line")
-    n, m = _ints(lines[0][1:], lines[0])
+def _graph_block(header: list[str], edge_lines: list[list[str]]) -> Graph:
+    """The graph of a 'p <n> <m>' header line and the edge lines under it."""
+    n, m = _ints(header[1:], header)
     edges = []
-    for line in lines[1:]:
+    for line in edge_lines:
         if line[0] != "e" or len(line) != 3:
             raise ParseError(f"expected 'e <u> <v>', got {' '.join(line)!r}")
         u, v = _ints(line[1:], line)
@@ -53,6 +51,13 @@ def graph_from_text(text: str) -> Graph:
         return Graph.from_edges(n, edges)
     except InputError as exc:
         raise ParseError(f"invalid graph: {exc}") from exc
+
+
+def graph_from_text(text: str) -> Graph:
+    lines = _tokens(text)
+    if not lines or lines[0][0] != "p" or len(lines[0]) != 3:
+        raise ParseError("graph file must start with a 'p <n> <m>' line")
+    return _graph_block(lines[0], lines[1:])
 
 
 def decomposition_to_text(d: Decomposition) -> str:
@@ -134,12 +139,9 @@ def join_tree_from_text(text: str) -> JoinTree:
     for _ in range(num_pieces):
         if idx >= len(lines) or lines[idx][0] != "p" or len(lines[idx]) != 3:
             raise ParseError("expected a 'p <n> <m>' piece header")
-        n, m = _ints(lines[idx][1:], lines[idx])
-        block = [lines[idx]] + lines[idx + 1 : idx + 1 + m]
+        _, m = _ints(lines[idx][1:], lines[idx])
+        pieces.append(_graph_block(lines[idx], lines[idx + 1 : idx + 1 + m]))
         idx += 1 + m
-        pieces.append(
-            graph_from_text("\n".join(" ".join(line) for line in block))
-        )
     joins = []
     for line in lines[idx:]:
         if line[0] != "J" or len(line) != 5:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import LIMITS
-from .errors import InputError, ResourceError
+from .config import LIMITS, check_ceiling
+from .errors import InputError
 from .graph import Graph, bitset, induced_subgraph, iter_bits, local_complement
 
 
@@ -30,9 +30,7 @@ class Coloring:
 
 def maximum_cliques(g: Graph, limit: int | None = None) -> list[int]:
     """All vertex bitsets inducing cliques of size omega(g) (Bron-Kerbosch)."""
-    cap = limit if limit is not None else LIMITS.clique_n
-    if g.n > cap:
-        raise ResourceError(f"clique enumeration limited to n <= {cap} (got {g.n})")
+    check_ceiling("clique enumeration", g.n, limit, LIMITS.clique_n)
     if g.n == 0:
         return []
     best_size = 0
@@ -113,9 +111,7 @@ def _max_clique_size(adj: tuple[int, ...], cand: int, best: int = 0) -> int:
 
 def clique_number(g: Graph, limit: int | None = None) -> int:
     """omega(g), by branch and bound on its size; 0 for the empty graph."""
-    cap = limit if limit is not None else LIMITS.clique_n
-    if g.n > cap:
-        raise ResourceError(f"clique search limited to n <= {cap} (got {g.n})")
+    check_ceiling("clique search", g.n, limit, LIMITS.clique_n)
     return _max_clique_size(g.adj, g.vertex_mask)
 
 
@@ -169,11 +165,7 @@ def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]
     Lower bound from the clique number, upper bound from DSATUR, then a
     backtracking search with symmetry breaking on the color indices.
     """
-    cap = limit if limit is not None else LIMITS.chromatic_n
-    if g.n > cap:
-        raise ResourceError(f"chromatic number limited to n <= {cap} (got {g.n})")
-    if g.n == 0:
-        return 0, Coloring(())
+    check_ceiling("chromatic number", g.n, limit, LIMITS.chromatic_n)
     lb = clique_number(g)
     ub_coloring = greedy_coloring(g)
     ub = ub_coloring.palette_size
@@ -268,9 +260,7 @@ def has_vertex_minor(g: Graph, h: Graph, limit: int | None = None) -> bool:
     at every size down to |V(h)| (equal-size containment means local
     equivalence, so the orbit must still be walked there).
     """
-    cap = limit if limit is not None else LIMITS.vertex_minor_n
-    if g.n > cap:
-        raise ResourceError(f"vertex-minor search limited to n <= {cap} (got {g.n})")
+    check_ceiling("vertex-minor search", g.n, limit, LIMITS.vertex_minor_n)
     if h.n > g.n:
         return False
     target = canonical_form(h)

@@ -4,7 +4,16 @@ import tracemalloc
 
 import pytest
 
-from rankchi import Graph, complete, cycle, validate_rank_decomposition, wheel
+from rankchi import (
+    ChiBoundFn,
+    Graph,
+    clique_number,
+    color_bound,
+    complete,
+    cycle,
+    validate_rank_decomposition,
+    wheel,
+)
 from rankchi.cli import main
 from rankchi.generate import random_graph
 from rankchi.io import (
@@ -158,6 +167,22 @@ class TestColor:
         assert code == 0
         assert "omega=1" in lines and "palette=1" in lines and "bound=1" in lines
         assert "check:proper=pass" in lines
+
+    def test_bound_past_the_int_to_str_limit_printed_in_hex(self, tmp_path, capsys):
+        """B(omega) at r = 100000 has over 30,000 decimal digits, more than
+        CPython's default int-to-str limit of 4,300, so it is printed as 0x..."""
+        prefix = str(tmp_path / "rw")
+        assert main(["gen", "--mode", "rw", "--n", "8", "--seed", "42", "--out", prefix]) == 0
+        capsys.readouterr()
+        code = main(["color", prefix + ".graph", prefix + ".rankdec",
+                     "--f", "const:3", "--r", "100000"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "check:palette_within_bound=pass" in lines
+        (value,) = [line.split("=", 1)[1] for line in lines if line.startswith("bound=")]
+        omega = clique_number(graph_from_text((tmp_path / "rw.graph").read_text()))
+        assert omega >= 2
+        assert int(value, 0) == color_bound(ChiBoundFn.constant(3, 100000), omega)
 
 
 class TestUnexpectedErrors:

@@ -274,6 +274,20 @@ class TestJoinTree:
             rng.shuffle(order)
             assert compose_sequential(jt, order) == composed
 
+    def test_join_order_does_not_change_the_composition(self):
+        """The frontiers follow the decomposition's sorted tree adjacency, so
+        listing the joins backwards, or each one mirrored, composes the same."""
+        rng = random.Random(5)
+        for _ in range(40):
+            jt = random_join_tree(rng, rng.randint(2, 12), extra=4)
+            composed, dec, vmap = one_join_compose(jt)
+            mirrored = tuple(JoinEdge(e.right, e.left, e.right_marker, e.left_marker)
+                             for e in jt.joins)
+            for joins in (tuple(reversed(jt.joins)), mirrored):
+                other, other_dec, other_vmap = one_join_compose(JoinTree(jt.pieces, joins))
+                assert other == composed
+                assert other_dec.tau == dec.tau and other_vmap == vmap
+
     def test_long_marker_chain_composes(self):
         """Adjacent markers pass each frontier on through every piece of a path of
         triangles, so the frontiers chain 1,500 pieces deep."""

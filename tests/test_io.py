@@ -1,6 +1,9 @@
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankchi import Coloring, Decomposition, JoinEdge, JoinTree, ParseError, cycle, path_graph
 from rankchi.generate import random_decomposition, random_graph, random_join_tree
@@ -98,3 +101,67 @@ class TestJoinTreeFormat:
     def test_bad_join_line(self):
         with pytest.raises(ParseError):
             join_tree_from_text("j 1\np 1 0\nJ 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("j 1\np 2 2\ne 0 1\n", "header promises 2 edges, file has 1"),
+            ("j 1\np 2 -1\n", "header promises -1 edges, file has 0"),
+            # a negative count slices from the end of the file, as it always has
+            ("j 1\np 2 -4\ne 0 1\ne 0 1\ne 0 1\n", "header promises -4 edges, file has 1"),
+            ("j 2\np 2 3\ne 0 1\nJ 0 1 0 0\n", "expected 'e <u> <v>', got 'J 0 1 0 0'"),
+        ],
+    )
+    def test_piece_edge_count_mismatch(self, text, message):
+        with pytest.raises(ParseError) as info:
+            join_tree_from_text(text)
+        assert str(info.value) == message
+
+
+# Fuzz texts are lines of a format keyword and a few small integers, or a valid
+# file of the parser's format with one or two fields replaced.  Every integer stays
+# small, so that no header sizes a costly allocation: refusing huge headers
+# before they allocate is a separate ceiling.
+_field = st.one_of(
+    st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "9", "x"]),
+    st.integers(-1000, 1000).map(str),
+)
+_line = st.builds(
+    lambda keyword, fields: " ".join([keyword, *fields]),
+    st.sampled_from(["p", "e", "d", "t", "m", "r", "c", "j", "J", "#", "x"]),
+    st.lists(_field, max_size=5),
+)
+_rng = random.Random(9)
+_g = random_graph(_rng, 5)
+_FORMATS = {  # each parser on five vertices, with a valid file of its format
+    "graph": (graph_from_text, graph_to_text(_g)),
+    "join_tree": (join_tree_from_text, join_tree_to_text(random_join_tree(_rng, 3))),
+    "decomposition": (
+        lambda text: decomposition_from_text(text, 5),
+        decomposition_to_text(random_decomposition(_rng, _g, 4)),
+    ),
+    "coloring": (
+        lambda text: coloring_from_text(text, 5),
+        coloring_to_text(Coloring((1, 2, 1, 3, 2))),
+    ),
+}
+
+
+@st.composite
+def _texts(draw, valid):
+    if draw(st.integers(0, 3)) == 3:
+        return "\n".join(draw(st.lists(_line, max_size=12)))
+    lines = [line.split() for line in valid.splitlines()]
+    for _ in range(draw(st.integers(1, 2))):
+        line = draw(st.sampled_from(lines))
+        line[draw(st.integers(1, len(line) - 1))] = draw(_field)  # every line has a field
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_arbitrary_text_raises_only_parse_error(fmt, data):
+    parse, valid = _FORMATS[fmt]
+    with contextlib.suppress(ParseError):
+        parse(data.draw(_texts(valid), label="text"))

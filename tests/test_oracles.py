@@ -19,6 +19,7 @@ from rankchi import (
     cube,
     cube_minus,
     cycle,
+    exact_rank_width,
     greedy_coloring,
     has_vertex_minor,
     induced_subgraph,
@@ -28,6 +29,7 @@ from rankchi import (
     no_max_clique_monochromatic,
     wheel,
 )
+from rankchi.config import LIMITS
 from rankchi.generate import random_graph
 
 from helpers import cocktail_party, naive_chromatic_number, naive_clique_number, petersen
@@ -264,3 +266,29 @@ class TestVertexMinor:
 def test_are_isomorphic():
     assert are_isomorphic(cycle(4), Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]))
     assert not are_isomorphic(cycle(4), complete(4))
+
+
+def _vertex_minor_of_k1(g, limit=None):
+    return has_vertex_minor(g, complete(1), limit=limit)
+
+
+@pytest.mark.parametrize(
+    "search, what, default",
+    [
+        (maximum_cliques, "clique enumeration", LIMITS.clique_n),
+        (clique_number, "clique search", LIMITS.clique_n),
+        (chromatic_number, "chromatic number", LIMITS.chromatic_n),
+        (_vertex_minor_of_k1, "vertex-minor search", LIMITS.vertex_minor_n),
+        (exact_rank_width, "exact rank-width", LIMITS.rank_width_n),
+    ],
+    ids=["maximum_cliques", "clique_number", "chromatic_number", "has_vertex_minor",
+         "exact_rank_width"],
+)
+def test_ceiling_message(search, what, default):
+    """An explicit limit= wins over the RANKCHI_* default (4 vertices pass every
+    default), and both ceilings refuse with the same message."""
+    for n, limit, cap in ((4, 3, 3), (default + 1, None, default)):
+        with pytest.raises(ResourceError) as info:
+            search(Graph(n, (0,) * n), limit=limit)
+        assert str(info.value) == f"{what} limited to n <= {cap} (got {n})"
+    search(Graph(3, (0,) * 3), limit=3)  # n at the cap runs the search
