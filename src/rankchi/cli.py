@@ -21,6 +21,7 @@ from .coloring import (
     exact_node_oracle,
     one_join_compose,
 )
+from .config import limits
 from .cuts import cut_diversity_of, cut_rank_of
 from .decomposition import (
     decomposition_rank,
@@ -238,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        limits()  # refuses a malformed RANKCHI_* setting before any command runs
         return args.func(args)
     except (ResourceError, MemoryError, OverflowError) as exc:
         # MemoryError, OverflowError: a size read from the input cannot be allocated

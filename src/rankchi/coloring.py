@@ -3,27 +3,24 @@
 key_lemma_coloring builds, node by node over a rooted decomposition, a
 coloring with at most d(k+1) colors under which no maximum clique is
 monochromatic.  chi_bounded_coloring turns that into a proper coloring by
-recursing on the clique number over the color classes.  one_join_compose
-realizes the 1-join tree construction together with its rank-1 decomposition.
+recursing on the clique number over the color classes, as vertex sets of the
+input graph on its own tree.  one_join_compose realizes the 1-join tree
+construction together with its rank-1 decomposition.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import count
 
 from .cuts import cut_classes
-from .decomposition import (
-    Decomposition,
-    _ordered_classes,
-    decomposition_rank,
-    origin,
-    restrict,
-    root_normalize,
-)
+from .decomposition import (Decomposition, RootedView, _climb_to, _normal_tree, _ordered_classes,
+                            _subtree_view, decomposition_rank)
 from .errors import ContractError, InputError
-from .graph import Graph, bitset, connected_components, is_connected, iter_bits, one_join
-from .oracles import Coloring, chromatic_number, clique_number, greedy_coloring, is_proper
+from .graph import Graph, _components, bitset, connected_components, iter_bits, one_join
+from .oracles import (Coloring, _clique_number_within, chromatic_number, clique_number,
+                      greedy_coloring, is_proper)
 
 NodeColoringOracle = Callable[[Graph], Coloring]
 
@@ -86,14 +83,13 @@ def color_bound(bound: ChiBoundFn, s: int) -> int:
 
 
 def _piece_quotient(
-    g: Graph, dec: Decomposition, v: int, cuts: dict[int, tuple[dict[int, int], dict[int, int]]]
+    g: Graph, s: int, view: RootedView, v: int, cuts: dict[int, tuple[dict[int, int], dict[int, int]]]
 ) -> tuple[list[int], Graph, int]:
-    """twin_classes(piece_graph(g, dec, v)), the quotient on their smallest members,
+    """twin_classes(piece_graph(g[s], dec, v)), the quotient on their smallest members,
     and the vertices of class zero of V_v with a piece edge or mapped to v.  The
-    piece rows are read off cuts[x] = cut_classes(g, V_x): an outside vertex keeps
+    piece rows are read off cuts[x] = cut_classes(g, V_x, s): an outside vertex keeps
     its column of the cut at v, a vertex below a child c its row of the cut at c,
-    and a vertex mapped to v all its neighbors.  Row zero holds the isolated ones."""
-    view = dec.view
+    and a vertex mapped to v all its neighbors in s.  Row zero holds the isolated ones."""
     rows, cols = cuts[v]
     home = view.pre[v]  # ends as tau^-1(v)
     groups = dict(cols)  # piece row -> the vertices with that row
@@ -102,7 +98,8 @@ def _piece_quotient(
         for row, part in cuts[c][0].items():
             groups[row] = groups.get(row, 0) | part
     for u in iter_bits(home):
-        groups[g.adj[u]] = groups.get(g.adj[u], 0) | 1 << u
+        row = g.adj[u] & s
+        groups[row] = groups.get(row, 0) | 1 << u
     isolated = groups.get(0, 0)
     ordered = sorted(groups.items(), key=lambda item: item[1] & -item[1])
     index = {(part & -part).bit_length() - 1: i for i, (_, part) in enumerate(ordered)}
@@ -126,28 +123,54 @@ def key_lemma_coloring(
     at most the budget d, and an oracle coloring every piece graph with at
     most k colors.  The construction then works with the measured diversity,
     so the palette is at most max(1, diversity)·(k+1), however loose d is.
-    Only nodes with a nonempty subtree preimage are walked.  Each one's cut is
-    read once, by cut_classes, for its diversity, its outside classes and its
-    piece's twin quotient (piece_graph is the quotient's test reference).
-    With check=True the four inductive properties are verified at each of them.
+    With check=True the four inductive properties are verified at each node.
     """
     if g.n < 2:
         raise InputError("key lemma needs a graph with at least two vertices")
-    if not is_connected(g):
+    if len(connected_components(g)) != 1:
         raise InputError("key lemma needs a connected graph")
+    phi = _key_lemma(g, d_input, g.vertex_mask, oracle, d, k, check)
+    return Coloring(tuple(phi[u] for u in range(g.n)))
+
+
+def _key_lemma(
+    g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, d: int, k: int, check: bool
+) -> dict[int, int]:
+    """key_lemma_coloring of g[s], tau cut down to s and the tree rooted as
+    root_normalize roots that restriction, as a map from s to colors; s must
+    induce a connected subgraph with at least two vertices.  Only nodes with a
+    nonempty subtree preimage are walked; each one's cut is read once, by
+    cut_classes, for its diversity, outside classes and piece twin quotient."""
     if d < 1:
         raise InputError("diversity budget d must be at least 1")
     if k < 1:
         raise InputError("piece color budget k must be at least 1")
-    dec = root_normalize(d_input)
-    view = dec.view
+    if len(dec.tau) != g.n:
+        raise InputError(f"decomposition maps {len(dec.tau)} vertices, graph has {g.n}")
+    view = _subtree_view(_normal_tree(dec, s)[0], dec.tau, s)
     pre, walk = view.pre, view.occupied[1:]
-    cuts = {v: cut_classes(g, pre[v]) for v in walk}
+    cuts = {v: cut_classes(g, pre[v], s) for v in walk}
     diversity = max((max(map(len, cut)) for cut in cuts.values() if all(cut)), default=0)
     if diversity > d:
         raise ContractError(f"decomposition diversity {diversity} exceeds budget {d}")
     d = max(1, diversity)
     classes = {v: _ordered_classes(rows) for v, (rows, _) in cuts.items()}
+    if check:
+        # what _check_step reads that no step changes: per node, the ends of the edges
+        # with that origin and the vertices mapped to it; the edges in no nonzero class
+        together = dict.fromkeys(iter_bits(s), 0)  # u -> the vertices sharing such a class
+        for parts in classes.values():
+            for mask in parts[1:]:
+                for u in iter_bits(mask):
+                    together[u] |= mask
+        ends, homes, unconfined = {}, {}, []
+        for u in together:
+            homes[dec.tau[u]] = homes.get(dec.tau[u], 0) | 1 << u
+            for w in iter_bits(g.adj[u] & s >> (u + 1) << (u + 1)):
+                x = _climb_to(view, dec.tau[u], w)
+                ends[x] = ends.get(x, 0) | 1 << u | 1 << w
+                if not together[u] >> w & 1:
+                    unconfined.append((u, w))
 
     palette_cap = d * (k + 1)
     phi: dict[int, int] = {}
@@ -166,7 +189,7 @@ def key_lemma_coloring(
 
         w_mask = 0
         if classes[v][0]:  # else every vertex of V_v is colored already
-            members, quotient, w_mask = _piece_quotient(g, dec, v, cuts)
+            members, quotient, w_mask = _piece_quotient(g, s, view, v, cuts)
         if w_mask:
             qcol = oracle(quotient)
             if not is_proper(quotient, qcol):
@@ -186,69 +209,50 @@ def key_lemma_coloring(
                     for u in iter_bits(parts[j] & w_mask):
                         psi2[u] = j
             pairs = sorted({(psi1[u], j) for u, j in psi2.items()})
-            fresh = [c for c in range(1, palette_cap + 1) if c not in used_on_vv]
-            if len(pairs) > len(fresh):
-                raise ContractError(
-                    f"{len(pairs)} fresh color classes but only {len(fresh)} colors left"
-                )
-            assignment = {pair: fresh[i] for i, pair in enumerate(pairs)}
+            left = palette_cap - len(used_on_vv)
+            if len(pairs) > left:
+                raise ContractError(f"{len(pairs)} fresh color classes but only {left} colors left")
+            # pair i takes the i-th smallest color not on V_v
+            assignment = dict(zip(pairs, (c for c in count(1) if c not in used_on_vv)))
             for u, j in psi2.items():
                 phi[u] = assignment[(psi1[u], j)]
             colored_mask |= w_mask
 
         if check:
-            _check_step(g, dec, walk[:step], phi, classes)
+            _check_step((ends, homes, unconfined), walk[:step], phi, classes)
 
-    if len(phi) != g.n:
+    if len(phi) != s.bit_count():
         raise ContractError("construction left some vertex uncolored")
-    result = Coloring(tuple(phi[u] for u in range(g.n)))
-    if result.palette_size > palette_cap:
+    if max(phi.values()) > palette_cap:
         raise ContractError("palette exceeded d(k+1)")
-    return result
+    return phi
 
 
-def _check_step(
-    g: Graph,
-    dec: Decomposition,
-    processed: tuple[int, ...],
-    phi: dict[int, int],
-    classes: dict[int, list[int]],
-) -> None:
+def _check_step(facts: tuple, processed: tuple, phi: dict[int, int], classes: dict) -> None:
     """Debug-mode verification of the four inductive step properties.
 
     A node with an empty subtree preimage, never walked, changes none of them:
     no vertex maps to it, no edge has it as origin, its one class is empty.
     """
-    processed_set = set(processed)
+    ends, homes, unconfined = facts
+    colored = bitset(phi)
     # property 2: vertices incident to edges with processed origin are colored,
     # as are all vertices mapped to processed nodes
-    for u, w in g.edges():
-        if origin(dec, u, w) in processed_set:
-            if u not in phi or w not in phi:
-                raise ContractError("edge with processed origin has uncolored endpoint")
-    for u in range(g.n):
-        if dec.tau[u] in processed_set and u not in phi:
-            raise ContractError("vertex mapped to processed node is uncolored")
+    if any(ends.get(x, 0) & ~colored for x in processed):
+        raise ContractError("edge with processed origin has uncolored endpoint")
+    if any(homes.get(x, 0) & ~colored for x in processed):
+        raise ContractError("vertex mapped to processed node is uncolored")
     # property 3: classes of unprocessed subtrees are uniformly colored or untouched
+    processed_set = set(processed)
     for v, parts in classes.items():
-        if v in processed_set:
-            continue
-        for mask in parts:
-            cols = {phi[u] for u in iter_bits(mask) if u in phi}
-            if len(cols) > 1:
-                raise ContractError("class of an unprocessed subtree is multicolored")
+        if v not in processed_set:
+            for mask in parts:
+                if len({phi[u] for u in iter_bits(mask & colored)}) > 1:
+                    raise ContractError("class of an unprocessed subtree is multicolored")
     # property 4: a monochromatic edge lies inside some V_v^j with j >= 1
-    for u, w in g.edges():
+    for u, w in unconfined:
         if u in phi and w in phi and phi[u] == phi[w]:
-            both = (1 << u) | (1 << w)
-            if not any(
-                mask & both == both
-                for parts in classes.values()
-                for mask in parts[1:]
-            ):
-                raise ContractError(
-                    "monochromatic edge not confined to a nonzero outside class"
-                )
+            raise ContractError("monochromatic edge not confined to a nonzero outside class")
 
 
 def chi_bounded_coloring(
@@ -261,8 +265,8 @@ def chi_bounded_coloring(
     """Proper coloring of g within color_bound(bound, omega(g)).
 
     Recursion on the clique number: the key-lemma coloring splits every
-    maximum clique, each color class is restricted and recolored, and the
-    (outer, inner) color pairs are flattened.
+    maximum clique, each color class is recolored as a vertex set of g on the
+    same tree, and the (outer, inner) color pairs are flattened.
     """
     rank = decomposition_rank(g, dec)
     if rank > bound.rank_budget:
@@ -270,7 +274,9 @@ def chi_bounded_coloring(
             f"decomposition rank {rank} exceeds budget {bound.rank_budget}"
         )
     omega = clique_number(g)
-    result = _color_recursive(g, dec, oracle, bound, check, omega)
+    colors = [0] * g.n
+    _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega, colors)
+    result = Coloring(tuple(colors))
     if g.n:
         if not is_proper(g, result):
             raise ContractError("constructed coloring is not proper")
@@ -280,50 +286,43 @@ def chi_bounded_coloring(
 
 
 def _color_recursive(
-    g: Graph,
-    dec: Decomposition,
-    oracle: NodeColoringOracle,
-    bound: ChiBoundFn,
-    check: bool,
-    omega: int,
-) -> Coloring:
-    """Coloring of g within color_bound(bound, omega), where omega = ω(g)."""
+    g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, bound: ChiBoundFn,
+    check: bool, omega: int, colors: list[int],
+) -> None:
+    """Write into colors[u], for u in s, a coloring of the subgraph induced on s
+    within color_bound(bound, omega), where omega is its clique number."""
     if omega <= 1:
-        return Coloring((1,) * g.n)
+        for u in iter_bits(s):
+            colors[u] = 1
+        return
 
-    comps = connected_components(g)
+    comps = _components(g.adj, s)
     if len(comps) > 1:
         # components are colored independently with a shared palette
-        colors = [0] * g.n
         for comp in comps:
-            sub_g, sub_d, remap = restrict(g, dec, comp)
-            sub = _color_recursive(sub_g, sub_d, oracle, bound, check, clique_number(sub_g))
-            for old, new in remap.items():
-                colors[old] = sub.colors[new]
-        return Coloring(tuple(colors))
+            sub_omega = _clique_number_within(g.adj, comp)
+            _color_recursive(g, dec, comp, oracle, bound, check, sub_omega, colors)
+        return
 
-    # key_lemma_coloring measures the diversity against the budget 2^r
-    phi = key_lemma_coloring(g, dec, oracle, 1 << bound.rank_budget, bound(omega), check)
+    # _key_lemma measures the diversity against the budget 2^r
+    phi = _key_lemma(g, dec, s, oracle, 1 << bound.rank_budget, bound(omega), check)
 
     class_masks: dict[int, int] = {}
-    for u, c in enumerate(phi.colors):
+    for u, c in phi.items():
         class_masks[c] = class_masks.get(c, 0) | 1 << u
-    subs: list[tuple[dict[int, int], Coloring]] = []
-    for c in sorted(class_masks):
-        sub_g, sub_d, remap = restrict(g, dec, class_masks[c])
-        sub_omega = clique_number(sub_g)
+    index = {c: i for i, c in enumerate(sorted(class_masks))}
+    for c in index:
+        sub_omega = _clique_number_within(g.adj, class_masks[c])
         if sub_omega >= omega:
             raise ContractError("a color class kept the clique number")
-        subs.append((remap, _color_recursive(sub_g, sub_d, oracle, bound, check, sub_omega)))
+        _color_recursive(g, dec, class_masks[c], oracle, bound, check, sub_omega, colors)
 
-    widest = max(sub.palette_size for _, sub in subs)
-    flat = [0] * g.n
-    for idx, (remap, sub) in enumerate(subs):
-        for old, new in remap.items():
-            flat[old] = idx * widest + sub.colors[new]
+    widest = max(colors[u] for u in phi)
+    flat = {u: index[c] * widest + colors[u] for u, c in phi.items()}
     # compress to 1..m preserving distinctness
-    rank_of = {val: i + 1 for i, val in enumerate(sorted(set(flat)))}
-    return Coloring(tuple(rank_of[val] for val in flat))
+    rank_of = {val: i + 1 for i, val in enumerate(sorted(set(flat.values())))}
+    for u, val in flat.items():
+        colors[u] = rank_of[val]
 
 
 # --- 1-join trees -----------------------------------------------------------
@@ -429,7 +428,7 @@ def one_join_compose(
             adj[u] |= right
         for w in iter_bits(right):
             adj[w] |= left
-    composed = Graph(n, tuple(adj))
+    composed = Graph._trusted(n, tuple(adj))
     rank = decomposition_rank(composed, dec)
     if rank > 1:
         raise ContractError(f"1-join decomposition has rank {rank} > 1")

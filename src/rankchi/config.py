@@ -1,11 +1,15 @@
-"""Exhaustive-search size limits, overridable via RANKCHI_* environment variables."""
+"""Exhaustive-search size limits, overridable via RANKCHI_* environment variables.
+
+config.LIMITS reads them on first use, not at import, so that a malformed
+setting raises InputError where the caller handles errors."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 
-from .errors import ResourceError
+from .errors import InputError, ResourceError
 
 
 @dataclass(frozen=True)
@@ -18,8 +22,10 @@ class Limits:
     @classmethod
     def from_env(cls) -> "Limits":
         def get(name: str, default: int) -> int:
-            raw = os.environ.get(name)
-            return default if raw is None else int(raw)
+            raw = os.environ.get(name, str(default))
+            if not (raw.isascii() and raw.isdigit()):
+                raise InputError(f"{name} must be a nonnegative integer (got {raw!r})")
+            return int(raw)
 
         return cls(
             clique_n=get("RANKCHI_CLIQUE_LIMIT", cls.clique_n),
@@ -29,11 +35,20 @@ class Limits:
         )
 
 
-LIMITS = Limits.from_env()
+@cache
+def limits() -> Limits:
+    """The limits of this process: the environment as read on the first call."""
+    return Limits.from_env()
 
 
-def check_ceiling(what: str, n: int, limit: int | None, default: int) -> None:
-    """Raise ResourceError if n exceeds the explicit limit, else the RANKCHI_* default."""
-    cap = limit if limit is not None else default
+def __getattr__(name: str) -> Limits:
+    if name == "LIMITS":
+        return limits()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def check_ceiling(what: str, n: int, limit: int | None, default: str) -> None:
+    """Raise ResourceError if n exceeds the explicit limit, else the Limits field default."""
+    cap = limit if limit is not None else getattr(limits(), default)
     if n > cap:
         raise ResourceError(f"{what} limited to n <= {cap} (got {n})")

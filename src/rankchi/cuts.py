@@ -85,13 +85,14 @@ def cut_rank_of(g: Graph, w: int) -> int:
     return gf2_rank([g.adj[u] & other for u in iter_bits(w)])
 
 
-def cut_classes(g: Graph, w: int) -> tuple[dict[int, int], dict[int, int]]:
+def cut_classes(g: Graph, w: int, s: int | None = None) -> tuple[dict[int, int], dict[int, int]]:
     """rows maps each distinct row adj[u] & rest of the cut (w, rest) to the u in w
     having it, cols each distinct column adj[x] & w to the x in rest having it.
-    Only the vertices reached from w are grouped; the rest is the zero column."""
+    Only the vertices reached from w are grouped; the rest is the zero column.
+    Given a vertex set s holding w, the cut is (w, s - w) of the subgraph on s."""
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
-    rest = g.vertex_mask & ~w
+    rest = (g.vertex_mask if s is None else s) & ~w
     rows: dict[int, int] = {}
     reached = 0
     for u in iter_bits(w):

@@ -8,10 +8,10 @@ All cuts, pieces, outside classes and origins are read off one rooted view
 (Decomposition.view), built by a single breadth-first pass from the root, or
 node 0 when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the
 vertices mapped into the subtree at v, so rank and diversity take one pass
-over the nodes and a piece graph one bitset mask per vertex.  Restrictions
-share the tree part of the view and rebuild only pre.  Rank-decompositions
-and exact rank-width, by a dynamic programme over vertex subsets, live here
-too.
+over the nodes and a piece graph one bitset mask per vertex.  The coloring
+recursion reads views of vertex sets s of the graph (_subtree_view), on the
+tree rooted as root_normalize roots tau cut to s.  Rank-decompositions and
+exact rank-width, by a dynamic programme over vertex subsets, live here too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
-from .config import LIMITS, check_ceiling
+from .config import check_ceiling
 from .cuts import cut_classes, cut_diversity_of, cut_rank_of
 from .errors import InputError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
@@ -31,8 +31,8 @@ class RootedView:
 
     pre[x] is the bitset of vertices mapped into the subtree at x and occupied
     the nodes with nonempty pre, in BFS order; both are empty in the tree-only
-    part that restrictions share, whose rerooted caches root_normalize's trees.
-    """
+    part that restrictions and vertex-set views share, whose rerooted caches
+    root_normalize's trees."""
 
     root: int
     adj: tuple[tuple[int, ...], ...]
@@ -119,21 +119,26 @@ class Decomposition:
     @cached_property
     def view(self) -> RootedView:
         """The rooted tree with pre and occupied for this tau, built on first use."""
-        tree = self._tree
-        pre = [0] * self.num_nodes
-        for v, node in enumerate(self.tau):
-            pre[node] |= 1 << v
-        occupied = frontier = set(self.tau)
-        while frontier:  # climb, one level at a time, to the ancestors of tau's images
-            frontier = {tree.parent[x] for x in frontier} - occupied - {-1}
-            occupied |= frontier
-        bfs = sorted(occupied, key=tree.position.__getitem__)
-        for x in reversed(bfs[1:]):
-            pre[tree.parent[x]] |= pre[x]
-        return replace(tree, pre=tuple(pre), occupied=tuple(bfs))
+        return _subtree_view(self._tree, self.tau, (1 << len(self.tau)) - 1)
 
     def node_adjacency(self) -> list[list[int]]:
         return [list(nbrs) for nbrs in self._tree.adj]
+
+
+def _subtree_view(tree: RootedView, tau: tuple[int, ...], s: int) -> RootedView:
+    """tree with pre and occupied for the vertices of the bitset s alone."""
+    pre = [0] * len(tree.parent)
+    members = list(iter_bits(s))
+    for v in members:
+        pre[tau[v]] |= 1 << v
+    occupied = frontier = {tau[v] for v in members}
+    while frontier:  # climb, one level at a time, to the ancestors of tau's images
+        frontier = {tree.parent[x] for x in frontier} - occupied - {-1}
+        occupied |= frontier
+    bfs = sorted(occupied, key=tree.position.__getitem__)
+    for x in reversed(bfs[1:]):
+        pre[tree.parent[x]] |= pre[x]
+    return replace(tree, pre=tuple(pre), occupied=tuple(bfs))
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,11 @@ def origin(d: Decomposition, u: int, w: int) -> int:
     view = _rooted_view(d)
     if not (0 <= u < len(d.tau) and 0 <= w < len(d.tau)):
         raise InputError(f"vertex pair ({u},{w}) out of range")
-    x = d.tau[u]
+    return _climb_to(view, d.tau[u], w)
+
+
+def _climb_to(view: RootedView, x: int, w: int) -> int:
+    """The lowest node at or above x whose subtree preimage in view contains w."""
     while not view.pre[x] >> w & 1:
         x = view.parent[x]
     return x
@@ -253,14 +262,24 @@ def root_normalize(d: Decomposition) -> Decomposition:
     """
     if d.root is not None:
         return d
+    tree, edges = _normal_tree(d, (1 << len(d.tau)) - 1)
+    return Decomposition(len(edges) + 1, edges, d.tau, tree.root, shared_tree=tree)
+
+
+def _normal_tree(d: Decomposition, s: int) -> tuple[RootedView, tuple[tuple[int, int], ...]]:
+    """The tree-only view and edges that root_normalize gives d with tau cut down to
+    the vertices of s: rooted at d's root, else at the first leaf no vertex of s maps
+    to, else at a fresh leaf attached to node 0.  Cached on d's tree per root."""
     tree = d._tree
-    used = set(d.tau)
+    if d.root is not None:
+        return tree, d.tree_edges
+    used = {d.tau[u] for u in iter_bits(s)}
     fresh = d.num_nodes
     root = next((v for v in range(fresh) if len(tree.adj[v]) <= 1 and v not in used), fresh)
     edges = d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
     if root not in tree.rerooted:
         tree.rerooted[root] = _root_tree(len(edges) + 1, edges, root)
-    return Decomposition(len(edges) + 1, edges, d.tau, root, shared_tree=tree.rerooted[root])
+    return tree.rerooted[root], edges
 
 
 def star_decomposition(g: Graph) -> Decomposition:
@@ -308,7 +327,7 @@ def exact_rank_width(
     split found for each X.  Time O(3^n), memory O(2^n).
     """
     n = g.n
-    check_ceiling("exact rank-width", n, limit, LIMITS.rank_width_n)
+    check_ceiling("exact rank-width", n, limit, "rank_width_n")
     if n <= 1:
         d = Decomposition(1, (), tuple(0 for _ in range(n)))
         return 0, RankDecomposition(d, 0)

@@ -50,7 +50,16 @@ class Graph:
                     raise InputError(f"asymmetric adjacency between {v} and {u}")
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph whose rows are symmetric, loop-free and in range by construction."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise InputError(f"vertex count must be nonnegative (got {n})")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -59,7 +68,7 @@ class Graph:
                 raise InputError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        return cls._trusted(n, tuple(adj))
 
     @property
     def vertex_mask(self) -> int:
@@ -83,26 +92,23 @@ class Graph:
 
 def connected_components(g: Graph) -> list[int]:
     """Vertex bitsets of the connected components, ordered by smallest member."""
-    seen = 0
+    return _components(g.adj, g.vertex_mask)
+
+
+def _components(adj: tuple[int, ...], s: int) -> list[int]:
+    """Vertex bitsets of the components of the subgraph induced on s, by smallest member."""
     comps = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
+    while s:
+        comp = frontier = s & -s
         while frontier:
             nxt = 0
             for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
+                nxt |= adj[u]
+            frontier = nxt & s & ~comp
             comp |= frontier
         comps.append(comp)
-        seen |= comp
+        s &= ~comp
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
 
 
 def induced_subgraph(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import LIMITS, check_ceiling
+from .config import check_ceiling
 from .errors import InputError
 from .graph import Graph, bitset, induced_subgraph, iter_bits, local_complement
 
@@ -30,7 +30,7 @@ class Coloring:
 
 def maximum_cliques(g: Graph, limit: int | None = None) -> list[int]:
     """All vertex bitsets inducing cliques of size omega(g) (Bron-Kerbosch)."""
-    check_ceiling("clique enumeration", g.n, limit, LIMITS.clique_n)
+    check_ceiling("clique enumeration", g.n, limit, "clique_n")
     if g.n == 0:
         return []
     best_size = 0
@@ -111,27 +111,30 @@ def _max_clique_size(adj: tuple[int, ...], cand: int, best: int = 0) -> int:
 
 def clique_number(g: Graph, limit: int | None = None) -> int:
     """omega(g), by branch and bound on its size; 0 for the empty graph."""
-    check_ceiling("clique search", g.n, limit, LIMITS.clique_n)
-    return _max_clique_size(g.adj, g.vertex_mask)
+    return _clique_number_within(g.adj, g.vertex_mask, limit)
+
+
+def _clique_number_within(adj: tuple[int, ...], s: int, limit: int | None = None) -> int:
+    """omega of the subgraph induced on the vertex bitset s, under the clique-search ceiling."""
+    check_ceiling("clique search", s.bit_count(), limit, "clique_n")
+    return _max_clique_size(adj, s)
 
 
 def greedy_coloring(g: Graph) -> Coloring:
-    """DSATUR-style greedy proper coloring (used as an upper bound and fallback)."""
+    """DSATUR greedy proper coloring (used as an upper bound and fallback): the
+    uncolored vertex with the most distinct neighbor colors, then the highest
+    degree, then the lowest id, takes the smallest color its neighbors lack."""
+    seen = [0] * g.n  # seen[v]: bitset of the colors on v's colored neighbors
+    degree = [row.bit_count() for row in g.adj]
+    uncolored = list(range(g.n))
     colors = [0] * g.n
-    for _ in range(g.n):
-        pick, key = -1, (-1, -1)
-        for v in range(g.n):
-            if colors[v]:
-                continue
-            sat = len({colors[u] for u in iter_bits(g.adj[v]) if colors[u]})
-            cand = (sat, g.degree(v))
-            if cand > key:
-                key, pick = cand, v
-        used = {colors[u] for u in iter_bits(g.adj[pick])}
-        c = 1
-        while c in used:
-            c += 1
-        colors[pick] = c
+    while uncolored:
+        pick = max(uncolored, key=lambda v: (seen[v].bit_count(), degree[v]))
+        uncolored.remove(pick)
+        taken = seen[pick] | 1  # bit 0 stands for no color
+        colors[pick] = c = ((taken + 1) & ~taken).bit_length() - 1
+        for u in iter_bits(g.adj[pick]):
+            seen[u] |= 1 << c
     return Coloring(tuple(colors))
 
 
@@ -165,7 +168,7 @@ def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]
     Lower bound from the clique number, upper bound from DSATUR, then a
     backtracking search with symmetry breaking on the color indices.
     """
-    check_ceiling("chromatic number", g.n, limit, LIMITS.chromatic_n)
+    check_ceiling("chromatic number", g.n, limit, "chromatic_n")
     lb = clique_number(g)
     ub_coloring = greedy_coloring(g)
     ub = ub_coloring.palette_size
@@ -260,7 +263,7 @@ def has_vertex_minor(g: Graph, h: Graph, limit: int | None = None) -> bool:
     at every size down to |V(h)| (equal-size containment means local
     equivalence, so the orbit must still be walked there).
     """
-    check_ceiling("vertex-minor search", g.n, limit, LIMITS.vertex_minor_n)
+    check_ceiling("vertex-minor search", g.n, limit, "vertex_minor_n")
     if h.n > g.n:
         return False
     target = canonical_form(h)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from rankchi import Decomposition, Graph
+from rankchi import Coloring, Decomposition, Graph, iter_bits
 
 
 def naive_gf2_rank(matrix: list[list[int]]) -> int:
@@ -116,6 +116,27 @@ def naive_clique_number(g: Graph) -> int:
             if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
                 return size
     return best
+
+
+def reference_greedy_coloring(g: Graph) -> Coloring:
+    """DSATUR recomputing every saturation at every step: the uncolored vertex of
+    largest (saturation, degree), the first one on ties, takes the smallest free color."""
+    colors = [0] * g.n
+    for _ in range(g.n):
+        pick, key = -1, (-1, -1)
+        for v in range(g.n):
+            if colors[v]:
+                continue
+            sat = len({colors[u] for u in iter_bits(g.adj[v]) if colors[u]})
+            cand = (sat, g.degree(v))
+            if cand > key:
+                key, pick = cand, v
+        used = {colors[u] for u in iter_bits(g.adj[pick])}
+        c = 1
+        while c in used:
+            c += 1
+        colors[pick] = c
+    return Coloring(tuple(colors))
 
 
 def petersen() -> Graph:

@@ -1,12 +1,18 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from rankchi import (
     ChiBoundFn,
     Graph,
+    InputError,
     clique_number,
     color_bound,
     complete,
@@ -15,6 +21,7 @@ from rankchi import (
     wheel,
 )
 from rankchi.cli import main
+from rankchi.config import Limits
 from rankchi.generate import random_graph
 from rankchi.io import (
     coloring_from_text,
@@ -215,6 +222,37 @@ class TestUnexpectedErrors:
             graph_from_text((tmp_path / "g.graph").read_text())
         with pytest.raises(RuntimeError, match="bug"):
             main(["cutrank", path, "--set", "0"])
+
+
+class TestLimitsFromEnvironment:
+    VARIABLES = {"RANKCHI_CLIQUE_LIMIT": "clique_n", "RANKCHI_CHROMATIC_LIMIT": "chromatic_n",
+                 "RANKCHI_RW_LIMIT": "rank_width_n", "RANKCHI_VM_LIMIT": "vertex_minor_n"}
+
+    @pytest.mark.parametrize("name", sorted(VARIABLES))
+    def test_each_variable_is_read_and_checked(self, monkeypatch, name):
+        monkeypatch.setenv(name, "0")
+        assert asdict(Limits.from_env()) == dict(asdict(Limits()), **{self.VARIABLES[name]: 0})
+        for bad in ("abc", "-5", "", "2.5"):
+            monkeypatch.setenv(name, bad)
+            with pytest.raises(InputError) as info:
+                Limits.from_env()
+            assert str(info.value) == f"{name} must be a nonnegative integer (got {bad!r})"
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_malformed_value_exits_2_with_one_line(self, tmp_path, value):
+        """Through the module entry point: the package imports, and the command
+        is refused before it writes anything."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src, RANKCHI_CLIQUE_LIMIT=value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankchi.cli", "gen", "--mode", "er", "--n", "3",
+             "--seed", "1", "--out", str(tmp_path / "g")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: RANKCHI_CLIQUE_LIMIT must be a nonnegative integer (got {value!r})\n")
+        assert proc.stdout == "" and not (tmp_path / "g.graph").exists()
 
 
 class TestVerify:

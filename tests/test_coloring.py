@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -36,12 +38,13 @@ from rankchi.generate import (
     random_connected_graph,
     random_cubic_decomposition,
     random_decomposition,
+    random_graph,
     random_join_tree,
 )
-from rankchi import coloring
+from rankchi import coloring, decomposition, graph
 from rankchi.decomposition import restrict
 
-from helpers import naive_subtree_preimages
+from helpers import naive_subtree_preimages, random_vertex_subset
 
 
 def measured_budgets(g, d):
@@ -177,6 +180,138 @@ class TestKeyLemma:
                        if side and x != normalized.root)
         assert occupied == 6  # the center and the five leaves holding h
         assert calls == {"cut_classes": occupied, "_check_step": occupied}
+
+
+def outcome(run):
+    """run()'s result, or the type and message of the ContractError or InputError it raised."""
+    try:
+        return run()
+    except (ContractError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+class TestKeyLemmaOnVertexSets:
+    def test_vertex_set_colors_as_its_restriction(self):
+        """The key lemma on a connected vertex set s of g, over g's own decomposition,
+        gives what key_lemma_coloring gives on restrict(g, dec, s), mapped back
+        through the remap, with check=True too; budget refusals carry the same
+        message.  A set the key lemma cannot take is refused by key_lemma_coloring."""
+        rng = random.Random(13)
+        colored = refused = 0
+        for trial in range(80):
+            if trial % 2:
+                g, dec, _ = one_join_compose(random_join_tree(rng, rng.randint(2, 7), extra=3))
+            else:
+                g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.3, 0.8))
+                dec = random_cubic_decomposition(rng, g)
+            s = random_vertex_subset(rng, g.n)
+            big = max(graph._components(g.adj, s), key=int.bit_count, default=0)
+            for d in (dec, root_normalize(dec)):
+                for mask in (s, big, g.vertex_mask):
+                    h, sub, remap = restrict(g, d, mask)
+                    if mask.bit_count() < 2 or len(graph._components(g.adj, mask)) > 1:
+                        with pytest.raises(InputError):
+                            key_lemma_coloring(h, sub, exact_node_oracle, 64, 64)
+                        continue
+                    budgets = rng.choice((1, 2, 64)), rng.choice((2, 64))
+                    for check in (False, True):
+                        mine = outcome(lambda: coloring._key_lemma(
+                            g, d, mask, exact_node_oracle, *budgets, check))
+                        theirs = outcome(lambda: key_lemma_coloring(
+                            h, sub, exact_node_oracle, *budgets, check))
+                        if isinstance(theirs, Coloring):
+                            theirs = {old: theirs.colors[new] for old, new in remap.items()}
+                            colored += 1
+                        else:
+                            refused += 1
+                        assert mine == theirs
+        assert colored > 300 and refused > 200
+
+    def test_recursion_builds_no_subgraph(self, monkeypatch):
+        """chi_bounded_coloring colors components and color classes as vertex sets
+        of the input graph: it makes no induced subgraph, restricted decomposition
+        or re-rooted copy, at any binding of those functions."""
+        calls = Counter()
+        targets = {fn: fn.__name__ for fn in (
+            decomposition.restrict, decomposition.root_normalize, graph.induced_subgraph)}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[targets[fn]] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if name == "rankchi" or name.startswith("rankchi."):
+                for attr, value in list(vars(module).items()):
+                    if callable(value) and value in targets:
+                        monkeypatch.setattr(module, attr, counted(value))
+        key_lemma_sets = []
+        key_lemma = coloring._key_lemma
+        monkeypatch.setattr(coloring, "_key_lemma", lambda g, dec, s, *rest: (
+            key_lemma_sets.append(s), key_lemma(g, dec, s, *rest))[1])
+        rng = random.Random(7)
+        for _ in range(6):
+            g, dec, _ = one_join_compose(random_join_tree(rng, 6, extra=3, p=0.6))
+            bound = ChiBoundFn.constant(g.n, 1)
+            col = chi_bounded_coloring(g, dec, exact_node_oracle, bound, check=True)
+            assert is_proper(g, col)
+        assert len(key_lemma_sets) > 6  # the recursion went below the six top levels
+        assert calls == Counter()
+
+
+EDGE = "edge with processed origin has uncolored endpoint"
+CLASS = "class of an unprocessed subtree is multicolored"
+MONO = "monochromatic edge not confined to a nonzero outside class"
+
+
+def corrupt(message, facts, processed, phi, classes):
+    """phi changed to break the property whose refusal reads message, or None."""
+    ends, _, unconfined = facts
+    if message == EDGE:
+        for x in processed:
+            if ends.get(x):
+                del phi[(ends[x] & -ends[x]).bit_length() - 1]
+                return phi
+    if message == CLASS:
+        for v, parts in classes.items():
+            if v in processed:
+                continue
+            for mask in parts:
+                members = [u for u in phi if mask >> u & 1]
+                if len(members) > 1:
+                    phi[members[0]] = max(phi.values()) + 1
+                    return phi
+    if message == MONO and len(processed) == len(classes) and unconfined:
+        u, w = unconfined[0]  # every class is processed, so property 3 cannot fire first
+        phi[w] = phi[u]
+        return phi
+    return None
+
+
+class TestStepChecks:
+    @pytest.mark.parametrize("message", [EDGE, CLASS, MONO], ids=["edge", "class", "mono"])
+    def test_each_property_refuses_a_corrupted_coloring(self, monkeypatch, message):
+        """The facts _check_step reads are computed once per key-lemma call and stay
+        live: after each real step passes, a copy of the coloring broken in one
+        property is refused with that property's message."""
+        check_step = coloring._check_step
+        refused = []
+
+        def corrupting(facts, processed, phi, classes):
+            check_step(facts, processed, phi, classes)
+            bad = corrupt(message, facts, processed, dict(phi), classes)
+            if bad is not None:
+                with pytest.raises(ContractError) as info:
+                    check_step(facts, processed, bad, classes)
+                refused.append(str(info.value))
+
+        monkeypatch.setattr(coloring, "_check_step", corrupting)
+        rng = random.Random(6)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(3, 10), rng.uniform(0.3, 0.7))
+            key_lemma_coloring(g, random_decomposition(rng, g), exact_node_oracle, 64, 64, True)
+        assert len(refused) > 10 and set(refused) == {message}
 
 
 class TestChiBoundedColoring:

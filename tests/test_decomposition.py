@@ -488,7 +488,8 @@ class TestRootedViewAgainstOracles:
                         u for u in range(graph.n)
                         if classes[v][0] >> u & 1 and (piece.adj[u] or dec.tau[u] == v)
                     )
-                    assert _piece_quotient(graph, dec, v, cuts) == (expected, quotient, active)
+                    assert _piece_quotient(graph, graph.vertex_mask, view, v, cuts) == (
+                        expected, quotient, active)
         assert empty_children > 100
 
     def test_rooted_parents_and_non_edges(self):

@@ -49,6 +49,8 @@ class TestConstruction:
             Graph(2, (0b100, 0b0))
         with pytest.raises(InputError):
             Graph.from_edges(2, [(0, 2)])
+        with pytest.raises(InputError, match="nonnegative"):
+            Graph.from_edges(-1, [])
 
     def test_edges_roundtrip(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3), (1, 2)])

@@ -32,7 +32,13 @@ from rankchi import (
 from rankchi.config import LIMITS
 from rankchi.generate import random_graph
 
-from helpers import cocktail_party, naive_chromatic_number, naive_clique_number, petersen
+from helpers import (
+    cocktail_party,
+    naive_chromatic_number,
+    naive_clique_number,
+    petersen,
+    reference_greedy_coloring,
+)
 
 
 @contextlib.contextmanager
@@ -136,6 +142,14 @@ class TestChromaticNumber:
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 10))
             assert is_proper(g, greedy_coloring(g))
+
+    def test_greedy_matches_the_recomputing_reference(self):
+        """Saturations kept up to date as vertices are colored pick the same vertex
+        and color at every step as saturations recomputed in full."""
+        rng = random.Random(12)
+        for _ in range(3000):
+            g = random_graph(rng, rng.randint(0, 25), rng.uniform(0.05, 0.95))
+            assert greedy_coloring(g) == reference_greedy_coloring(g)
 
 
 class TestIsProper:
