@@ -19,7 +19,7 @@ from .decomposition import (Decomposition, RootedView, _climb_to, _normal_tree, 
                             _subtree_view, decomposition_rank)
 from .errors import ContractError, InputError
 from .graph import Graph, _components, bitset, connected_components, iter_bits, one_join
-from .oracles import (Coloring, _clique_number_within, chromatic_number, clique_number,
+from .oracles import (Coloring, _max_clique_size, chromatic_number, clique_number,
                       greedy_coloring, is_proper)
 
 NodeColoringOracle = Callable[[Graph], Coloring]
@@ -106,7 +106,7 @@ def _piece_quotient(
     reps = bitset(index)
     qadj = tuple(bitset(index[u] for u in iter_bits(row & reps)) for row, _ in ordered)
     w_mask = rows.get(0, 0) & (home | ~isolated)
-    return [part for _, part in ordered], Graph(len(qadj), qadj), w_mask
+    return [part for _, part in ordered], Graph._trusted(len(qadj), qadj), w_mask
 
 
 def key_lemma_coloring(
@@ -275,7 +275,7 @@ def chi_bounded_coloring(
         )
     omega = clique_number(g)
     colors = [0] * g.n
-    _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega, colors)
+    _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, colors)
     result = Coloring(tuple(colors))
     if g.n:
         if not is_proper(g, result):
@@ -287,42 +287,36 @@ def chi_bounded_coloring(
 
 def _color_recursive(
     g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, bound: ChiBoundFn,
-    check: bool, omega: int, colors: list[int],
+    check: bool, below: int, colors: list[int],
 ) -> None:
-    """Write into colors[u], for u in s, a coloring of the subgraph induced on s
-    within color_bound(bound, omega), where omega is its clique number."""
-    if omega <= 1:
-        for u in iter_bits(s):
-            colors[u] = 1
-        return
-
-    comps = _components(g.adj, s)
-    if len(comps) > 1:
-        # components are colored independently with a shared palette
-        for comp in comps:
-            sub_omega = _clique_number_within(g.adj, comp)
-            _color_recursive(g, dec, comp, oracle, bound, check, sub_omega, colors)
-        return
-
-    # _key_lemma measures the diversity against the budget 2^r
-    phi = _key_lemma(g, dec, s, oracle, 1 << bound.rank_budget, bound(omega), check)
-
-    class_masks: dict[int, int] = {}
-    for u, c in phi.items():
-        class_masks[c] = class_masks.get(c, 0) | 1 << u
-    index = {c: i for i, c in enumerate(sorted(class_masks))}
-    for c in index:
-        sub_omega = _clique_number_within(g.adj, class_masks[c])
-        if sub_omega >= omega:
+    """Write into colors[u], for u in s, a coloring of the subgraph induced on s.
+    Its components share one palette; each one, whose clique number omega must be
+    less than below, is colored within color_bound(bound, omega): the key lemma
+    splits its maximum cliques, each color class recurses with below = omega, and
+    the (outer, inner) color pairs are flattened."""
+    for comp in _components(g.adj, s):
+        if not comp & (comp - 1):  # a single vertex
+            colors[comp.bit_length() - 1] = 1
+            continue
+        omega = _max_clique_size(g.adj, comp)
+        if omega >= below:
             raise ContractError("a color class kept the clique number")
-        _color_recursive(g, dec, class_masks[c], oracle, bound, check, sub_omega, colors)
+        # _key_lemma measures the diversity against the budget 2^r
+        phi = _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(omega), check)
 
-    widest = max(colors[u] for u in phi)
-    flat = {u: index[c] * widest + colors[u] for u, c in phi.items()}
-    # compress to 1..m preserving distinctness
-    rank_of = {val: i + 1 for i, val in enumerate(sorted(set(flat.values())))}
-    for u, val in flat.items():
-        colors[u] = rank_of[val]
+        class_masks: dict[int, int] = {}
+        for u, c in phi.items():
+            class_masks[c] = class_masks.get(c, 0) | 1 << u
+        index = {c: i for i, c in enumerate(sorted(class_masks))}
+        for c in index:
+            _color_recursive(g, dec, class_masks[c], oracle, bound, check, omega, colors)
+
+        widest = max(colors[u] for u in phi)
+        flat = {u: index[c] * widest + colors[u] for u, c in phi.items()}
+        # compress to 1..m preserving distinctness
+        rank_of = {val: i + 1 for i, val in enumerate(sorted(set(flat.values())))}
+        for u, val in flat.items():
+            colors[u] = rank_of[val]
 
 
 # --- 1-join trees -----------------------------------------------------------

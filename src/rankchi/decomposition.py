@@ -10,13 +10,15 @@ node 0 when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the
 vertices mapped into the subtree at v, so rank and diversity take one pass
 over the nodes and a piece graph one bitset mask per vertex.  The coloring
 recursion reads views of vertex sets s of the graph (_subtree_view), on the
-tree rooted as root_normalize roots tau cut to s.  Rank-decompositions and
-exact rank-width, by a dynamic programme over vertex subsets, live here too.
+tree rooted as root_normalize roots tau cut to s; the decomposition keeps one
+such rooted tree per root leaf, which the views of all its vertex sets share.
+Rank-decompositions and exact rank-width, by a dynamic programme over vertex
+subsets, live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .config import check_ceiling
@@ -30,9 +32,8 @@ class RootedView:
     """The tree in BFS order from root over ascending adj; parent[root] is -1.
 
     pre[x] is the bitset of vertices mapped into the subtree at x and occupied
-    the nodes with nonempty pre, in BFS order; both are empty in the tree-only
-    part that restrictions and vertex-set views share, whose rerooted caches
-    root_normalize's trees."""
+    the nodes with nonempty pre, in BFS order; both are empty in a tree-only
+    view, which the views of vertex sets on the same rooted tree extend."""
 
     root: int
     adj: tuple[tuple[int, ...], ...]
@@ -42,7 +43,6 @@ class RootedView:
     position: tuple[int, ...]  # position[x] is the index of x in BFS order
     pre: tuple[int, ...] = ()
     occupied: tuple[int, ...] = ()
-    rerooted: dict[int, RootedView] = field(default_factory=dict, init=False, compare=False)
 
 
 def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: int) -> RootedView:
@@ -85,17 +85,16 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
 class Decomposition:
     """Tree over num_nodes node ids plus tau: vertex index -> node id.
 
-    shared_tree, the tree-only view of a decomposition with the same tree and
-    root, is trusted instead of rebuilt.
+    Its tree-only view is built once, here; _normal_tree caches beside it the trees
+    rooted as root_normalize roots tau cut to a vertex set, one per root leaf.
     """
 
     num_nodes: int
     tree_edges: tuple[tuple[int, int], ...]
     tau: tuple[int, ...]
     root: int | None = None
-    shared_tree: InitVar[RootedView | None] = None
 
-    def __post_init__(self, shared_tree: RootedView | None) -> None:
+    def __post_init__(self) -> None:
         k = self.num_nodes
         if k < 1:
             raise InputError("decomposition needs at least one node")
@@ -103,10 +102,9 @@ class Decomposition:
             raise InputError("tree must have exactly num_nodes - 1 edges")
         if self.root is not None and not 0 <= self.root < k:
             raise InputError("root out of range")
-        tree = shared_tree
-        if tree is None:
-            tree = _root_tree(k, self.tree_edges, 0 if self.root is None else self.root)
+        tree = _root_tree(k, self.tree_edges, 0 if self.root is None else self.root)
         object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_rerooted", {})  # root -> tree-only view
         for v, node in enumerate(self.tau):
             if not 0 <= node < k:
                 raise InputError(f"tau maps vertex {v} to a non-node")
@@ -248,28 +246,25 @@ def _ordered_classes(rows: dict[int, int]) -> list[int]:
 def restrict(g: Graph, d: Decomposition, s: int) -> tuple[Graph, Decomposition, dict[int, int]]:
     """Induced subgraph on s with tau restricted; tree and root unchanged."""
     h, remap = induced_subgraph(g, s)
-    tau = [0] * h.n
-    for old, new in remap.items():
-        tau[new] = d.tau[old]
-    return h, replace(d, tau=tuple(tau), shared_tree=d._tree), remap
+    return h, replace(d, tau=tuple(d.tau[u] for u in remap)), remap
 
 
 def root_normalize(d: Decomposition) -> Decomposition:
     """Ensure a root leaf with empty preimage, attaching a fresh leaf if needed.
 
     The added edge induces the degenerate (empty, V) cut of rank zero, so rank
-    and diversity are unchanged.  Restrictions given the same root share one tree.
+    and diversity are unchanged.
     """
     if d.root is not None:
         return d
     tree, edges = _normal_tree(d, (1 << len(d.tau)) - 1)
-    return Decomposition(len(edges) + 1, edges, d.tau, tree.root, shared_tree=tree)
+    return Decomposition(len(edges) + 1, edges, d.tau, tree.root)
 
 
 def _normal_tree(d: Decomposition, s: int) -> tuple[RootedView, tuple[tuple[int, int], ...]]:
     """The tree-only view and edges that root_normalize gives d with tau cut down to
     the vertices of s: rooted at d's root, else at the first leaf no vertex of s maps
-    to, else at a fresh leaf attached to node 0.  Cached on d's tree per root."""
+    to, else at a fresh leaf attached to node 0.  Cached on d per root."""
     tree = d._tree
     if d.root is not None:
         return tree, d.tree_edges
@@ -277,9 +272,9 @@ def _normal_tree(d: Decomposition, s: int) -> tuple[RootedView, tuple[tuple[int,
     fresh = d.num_nodes
     root = next((v for v in range(fresh) if len(tree.adj[v]) <= 1 and v not in used), fresh)
     edges = d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
-    if root not in tree.rerooted:
-        tree.rerooted[root] = _root_tree(len(edges) + 1, edges, root)
-    return tree.rerooted[root], edges
+    if root not in d._rerooted:
+        d._rerooted[root] = _root_tree(len(edges) + 1, edges, root)
+    return d._rerooted[root], edges
 
 
 def star_decomposition(g: Graph) -> Decomposition:

@@ -111,13 +111,8 @@ def _max_clique_size(adj: tuple[int, ...], cand: int, best: int = 0) -> int:
 
 def clique_number(g: Graph, limit: int | None = None) -> int:
     """omega(g), by branch and bound on its size; 0 for the empty graph."""
-    return _clique_number_within(g.adj, g.vertex_mask, limit)
-
-
-def _clique_number_within(adj: tuple[int, ...], s: int, limit: int | None = None) -> int:
-    """omega of the subgraph induced on the vertex bitset s, under the clique-search ceiling."""
-    check_ceiling("clique search", s.bit_count(), limit, "clique_n")
-    return _max_clique_size(adj, s)
+    check_ceiling("clique search", g.n, limit, "clique_n")
+    return _max_clique_size(g.adj, g.vertex_mask)
 
 
 def greedy_coloring(g: Graph) -> Coloring:

@@ -13,6 +13,7 @@ from rankchi import (
     InputError,
     JoinEdge,
     JoinTree,
+    ResourceError,
     chi_bounded_coloring,
     chromatic_number,
     clique_number,
@@ -26,6 +27,7 @@ from rankchi import (
     exact_rank_width,
     greedy_node_oracle,
     is_proper,
+    iter_bits,
     key_lemma_coloring,
     no_max_clique_monochromatic,
     one_join_compose,
@@ -41,7 +43,7 @@ from rankchi.generate import (
     random_graph,
     random_join_tree,
 )
-from rankchi import coloring, decomposition, graph
+from rankchi import coloring, config, decomposition, graph, oracles
 from rankchi.decomposition import restrict
 
 from helpers import naive_subtree_preimages, random_vertex_subset
@@ -369,6 +371,34 @@ class TestChiBoundedColoring:
     def test_greedy_oracle_budget_enforced(self):
         with pytest.raises(ContractError):
             greedy_node_oracle(2)(complete(4))
+
+    def test_a_class_keeping_the_clique_number_is_refused(self, monkeypatch):
+        """A key lemma that leaves a maximum clique in one color class is caught
+        before that class recurses with the same clique number."""
+        monkeypatch.setattr(coloring, "_key_lemma",
+                            lambda g, dec, s, *rest: dict.fromkeys(iter_bits(s), 1))
+        g = complete(4)
+        with pytest.raises(ContractError, match="^a color class kept the clique number$"):
+            chi_bounded_coloring(g, star_decomposition(g), exact_node_oracle,
+                                 ChiBoundFn.constant(4, 1))
+
+    def test_clique_ceiling_checked_once_on_the_input(self, monkeypatch):
+        """The clique-search ceiling applies to the input graph, once per call: every
+        later search runs on a subset of it."""
+        cap = config.LIMITS.clique_n
+        g = Graph(cap + 1, (0,) * (cap + 1))
+        with pytest.raises(ResourceError, match=rf"^clique search limited to n <= {cap} "
+                                                rf"\(got {cap + 1}\)$"):
+            chi_bounded_coloring(g, star_decomposition(g), exact_node_oracle,
+                                 ChiBoundFn.constant(1, 0))
+        checks = []
+        check_ceiling = oracles.check_ceiling
+        monkeypatch.setattr(oracles, "check_ceiling",
+                            lambda *args: (checks.append(args[:2]), check_ceiling(*args))[1])
+        g, dec, _ = one_join_compose(random_join_tree(random.Random(3), 6, extra=3, p=0.6))
+        col = chi_bounded_coloring(g, dec, greedy_node_oracle(g.n), ChiBoundFn.constant(g.n, 1))
+        assert is_proper(g, col) and col.palette_size > 1
+        assert checks == [("clique search", g.n)]
 
 
 class TestJoinTree:

@@ -32,7 +32,7 @@ from rankchi import (
 )
 from rankchi.coloring import _piece_quotient
 from rankchi.cuts import cut_classes
-from rankchi.decomposition import rooted_parents, subtree_preimages
+from rankchi.decomposition import _normal_tree, rooted_parents, subtree_preimages
 from rankchi.generate import (
     random_cubic_decomposition,
     random_decomposition,
@@ -392,14 +392,18 @@ class TestRootNormalize:
         assert decomposition_rank(g, normalized) == decomposition_rank(g, d)
 
     def test_restrictions_with_one_root_share_one_tree(self):
+        """Vertex sets whose root_normalize root is one leaf share one rooted tree
+        of the decomposition, the one the coloring's views are built on."""
         g = path_graph(600)
         star = star_decomposition(g)  # leaf i + 1 holds vertex i
         path = Decomposition(3, ((0, 1), (1, 2)), (0, 2) * 300)  # no empty leaf
         for d, root in ((star, 1), (path, 3)):
-            a = root_normalize(restrict(g, d, bitset(range(300, 303)))[1])
-            b = root_normalize(restrict(g, d, bitset((400, 401, 405)))[1])
+            s1, s2 = bitset(range(300, 303)), bitset((400, 401, 405))
+            tree = _normal_tree(d, s1)[0]
+            assert tree is _normal_tree(d, s2)[0] and tree.root == root
+            a = root_normalize(restrict(g, d, s1)[1])
+            b = root_normalize(restrict(g, d, s2)[1])
             assert a.root == b.root == root
-            assert a._tree is b._tree
             assert rooted_parents(a) == naive_parents(a)
             assert rooted_parents(b) == naive_parents(b)
 
