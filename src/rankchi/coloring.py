@@ -2,7 +2,8 @@
 
 key_lemma_coloring builds, node by node over a rooted decomposition, a
 coloring with at most d(k+1) colors under which no maximum clique is
-monochromatic.  chi_bounded_coloring turns that into a proper coloring by
+monochromatic; a node costs its cut's classes, merged from those below it.
+chi_bounded_coloring turns that into a proper coloring by
 recursing on the clique number over the color classes, as vertex sets of the
 input graph on its own tree.  one_join_compose realizes the 1-join tree
 construction together with its rank-1 decomposition.
@@ -14,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import count
 
-from .cuts import cut_classes
+from .cuts import column_classes, nested_cut_rows
 from .decomposition import (Decomposition, RootedView, _climb_to, _normal_tree, _ordered_classes,
                             _subtree_view, decomposition_rank)
 from .errors import ContractError, InputError
@@ -86,14 +87,15 @@ def _piece_quotient(
     g: Graph, s: int, view: RootedView, v: int, cuts: dict[int, tuple[dict[int, int], dict[int, int]]]
 ) -> tuple[list[int], Graph, int]:
     """twin_classes(piece_graph(g[s], dec, v)), the quotient on their smallest members,
-    and the vertices of class zero of V_v with a piece edge or mapped to v.  The
-    piece rows are read off cuts[x] = cut_classes(g, V_x, s): an outside vertex keeps
-    its column of the cut at v, a vertex below a child c its row of the cut at c,
-    and a vertex mapped to v all its neighbors in s.  Row zero holds the isolated ones."""
+    and the vertices of class zero of V_v with a piece edge or mapped to v.  The piece
+    rows are read off cuts[x], the classes of the cut at x in g[s]: an outside vertex
+    keeps its column of the cut at v, a vertex below a kept child c its row of the cut
+    at c, and a vertex mapped to v all its neighbors in s.  Row zero holds the isolated
+    ones."""
     rows, cols = cuts[v]
     home = view.pre[v]  # ends as tau^-1(v)
     groups = dict(cols)  # piece row -> the vertices with that row
-    for c in filter(view.pre.__getitem__, view.children[v]):
+    for c in view.kept[v]:
         home &= ~view.pre[c]
         for row, part in cuts[c][0].items():
             groups[row] = groups.get(row, 0) | part
@@ -138,22 +140,23 @@ def _key_lemma(
 ) -> dict[int, int]:
     """key_lemma_coloring of g[s], tau cut down to s and the tree rooted as
     root_normalize roots that restriction, as a map from s to colors; s must
-    induce a connected subgraph with at least two vertices.  Only nodes with a
-    nonempty subtree preimage are walked; each one's cut is read once, by
-    cut_classes, for its diversity, outside classes and piece twin quotient."""
+    induce a connected subgraph with at least two vertices.  Only kept nodes are
+    walked: a pass-through node colors nothing and is the origin of no edge.  Their
+    cuts' classes, merged bottom-up, give the diversity, outside classes and piece
+    twin quotients, and one colored member per class the colors on V_v."""
     if d < 1:
         raise InputError("diversity budget d must be at least 1")
     if k < 1:
         raise InputError("piece color budget k must be at least 1")
     if len(dec.tau) != g.n:
         raise InputError(f"decomposition maps {len(dec.tau)} vertices, graph has {g.n}")
-    view = _subtree_view(_normal_tree(dec, s)[0], dec.tau, s)
-    pre, walk = view.pre, view.occupied[1:]
-    cuts = {v: cut_classes(g, pre[v], s) for v in walk}
-    diversity = max((max(map(len, cut)) for cut in cuts.values() if all(cut)), default=0)
-    if diversity > d:
-        raise ContractError(f"decomposition diversity {diversity} exceeds budget {d}")
-    d = max(1, diversity)
+    view = _subtree_view(_normal_tree(dec, s), dec.tau, s)
+    pre, kept = view.pre, view.kept
+    walk = tuple(kept)
+    # refused past d classes on a side before any vertex is colored
+    cuts = {v: (rows, column_classes(rows, rest, d))
+            for v, rest, rows in nested_cut_rows(g, s, pre, kept)}
+    d = max(1, max((max(map(len, cut)) for cut in cuts.values() if all(cut)), default=0))
     classes = {v: _ordered_classes(rows) for v, (rows, _) in cuts.items()}
     if check:
         # what _check_step reads that no step changes: per node, the ends of the edges
@@ -177,14 +180,10 @@ def _key_lemma(
     colored_mask = 0
 
     for step, v in enumerate(walk, start=1):
-        vv = pre[v]
-        used_on_vv = {phi[u] for u in iter_bits(vv & colored_mask)}
-        if len(used_on_vv) > d:
-            raise ContractError(
-                f"{len(used_on_vv)} colors already on a subtree preimage, budget {d}"
-            )
-        uncolored = vv & ~colored_mask
-        if check and uncolored != classes[v][0]:
+        # each class of v's cut carries at most one color yet (property 3), so at most d
+        used_on_vv = {phi[(part & -part).bit_length() - 1]
+                      for part in (mask & colored_mask for mask in classes[v]) if part}
+        if check and pre[v] & ~colored_mask != classes[v][0]:
             raise ContractError("uncolored subtree vertices differ from class zero")
 
         w_mask = 0
@@ -201,7 +200,7 @@ def _key_lemma(
                     for u in iter_bits(part & w_mask)}
             # psi2 is 1 at v itself, else the outside class in the child holding u
             psi2 = dict.fromkeys(iter_bits(w_mask), 1)
-            for c in filter(pre.__getitem__, view.children[v]):
+            for c in kept[v]:
                 parts = classes[c]
                 if parts[0] & w_mask:
                     raise ContractError("piece-active vertex landed in class zero of a child")
@@ -231,8 +230,8 @@ def _key_lemma(
 def _check_step(facts: tuple, processed: tuple, phi: dict[int, int], classes: dict) -> None:
     """Debug-mode verification of the four inductive step properties.
 
-    A node with an empty subtree preimage, never walked, changes none of them:
-    no vertex maps to it, no edge has it as origin, its one class is empty.
+    A node not kept, never walked, changes none of them: no vertex maps to it, no
+    edge has it as origin, and its classes are empty or its kept child's.
     """
     ends, homes, unconfined = facts
     colored = bitset(phi)

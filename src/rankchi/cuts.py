@@ -1,13 +1,16 @@
 """Cuts of vertex bipartitions: row/column classes, GF(2) rank and diversity.
 
-cut_classes groups a cut's rows and columns in one read of the adjacency; a
-decomposition's diversity, outside classes and piece rows all come from it."""
+cut_classes groups a cut's rows and columns in one read of the adjacency.  Along
+the nested cuts of a rooted decomposition, nested_cut_rows merges each cut's rows
+from the cuts just below it and column_classes refines the other side by them, so
+a cut costs its classes, not its side."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import ContractError, InputError
 from .graph import Graph, iter_bits
 
 
@@ -47,7 +50,7 @@ def transpose(m: CutMatrix) -> CutMatrix:
     return CutMatrix(tuple(cols), m.col_index, m.row_index)
 
 
-def gf2_rank(rows: list[int]) -> int:
+def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of bitset rows, by elimination on leading bits."""
     pivots: dict[int, int] = {}
     rank = 0
@@ -85,14 +88,13 @@ def cut_rank_of(g: Graph, w: int) -> int:
     return gf2_rank([g.adj[u] & other for u in iter_bits(w)])
 
 
-def cut_classes(g: Graph, w: int, s: int | None = None) -> tuple[dict[int, int], dict[int, int]]:
+def cut_classes(g: Graph, w: int) -> tuple[dict[int, int], dict[int, int]]:
     """rows maps each distinct row adj[u] & rest of the cut (w, rest) to the u in w
     having it, cols each distinct column adj[x] & w to the x in rest having it.
-    Only the vertices reached from w are grouped; the rest is the zero column.
-    Given a vertex set s holding w, the cut is (w, s - w) of the subgraph on s."""
+    Only the vertices reached from w are grouped; the rest is the zero column."""
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
-    rest = (g.vertex_mask if s is None else s) & ~w
+    rest = g.vertex_mask & ~w
     rows: dict[int, int] = {}
     reached = 0
     for u in iter_bits(w):
@@ -112,3 +114,44 @@ def cut_diversity_of(g: Graph, w: int) -> int:
     """max(#distinct rows, #distinct columns) of the cut (w, rest); 0 if a side is empty."""
     rows, cols = cut_classes(g, w)
     return max(len(rows), len(cols)) if rows and cols else 0
+
+
+def nested_cut_rows(
+    g: Graph, s: int, sides: tuple[int, ...], below: dict[int, tuple[int, ...]]
+) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """For each node v of below, last first: v, rest = s - sides[v] and the rows of
+    the cut (sides[v], rest) of g[s] as cut_classes groups them.  The rows of the later nodes
+    below[v], on disjoint parts of sides[v], are cut down to rest, and only the other
+    vertices of sides[v] are read."""
+    rows_of: dict[int, dict[int, int]] = {}
+    for v in reversed(below):
+        home, rest = sides[v], s & ~sides[v]
+        rows = rows_of[v] = {}
+        for c in below[v]:
+            home &= ~sides[c]
+            for row, part in rows_of.pop(c).items():
+                rows[row & rest] = rows.get(row & rest, 0) | part
+        if home & ~g.vertex_mask:
+            raise InputError("cut side contains vertices outside the graph")
+        for u in iter_bits(home):
+            row = g.adj[u] & rest
+            rows[row] = rows.get(row, 0) | 1 << u
+        yield v, rest, rows
+
+
+def column_classes(rows: dict[int, int], rest: int, limit: int) -> dict[int, int]:
+    """cut_classes' cols of the cut with these rows and other side rest: rest refined
+    by each row, an atom keyed by the union of the parts whose rows hold it.  Raises
+    ContractError once either side has more than limit classes."""
+    cols = {0: rest} if rest else {}
+    for row, part in rows.items():
+        split: dict[int, int] = {}
+        for key, atom in cols.items():
+            if atom & row:
+                split[key | part] = atom & row
+            if atom & ~row:
+                split[key] = atom & ~row
+        cols = split
+        if max(len(rows), len(cols)) > limit:
+            raise ContractError(f"decomposition diversity exceeds budget {limit}")
+    return cols

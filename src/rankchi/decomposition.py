@@ -7,8 +7,9 @@ graph; the rank/diversity of the decomposition is the maximum over its edges.
 All cuts, pieces, outside classes and origins are read off one rooted view
 (Decomposition.view), built by a single breadth-first pass from the root, or
 node 0 when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the
-vertices mapped into the subtree at v, so rank and diversity take one pass
-over the nodes and a piece graph one bitset mask per vertex.  The coloring
+vertices mapped into the subtree at v, so diversity takes one pass over the
+nodes and a piece graph one bitset mask per vertex; rank merges the rows of the
+view's kept nodes, bottom-up (cuts.nested_cut_rows).  The coloring
 recursion reads views of vertex sets s of the graph (_subtree_view), on the
 tree rooted as root_normalize roots tau cut to s; the decomposition keeps one
 such rooted tree per root leaf, which the views of all its vertex sets share.
@@ -18,11 +19,11 @@ subsets, live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .config import check_ceiling
-from .cuts import cut_classes, cut_diversity_of, cut_rank_of
+from .cuts import cut_classes, cut_diversity_of, cut_rank_of, gf2_rank, nested_cut_rows
 from .errors import InputError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
 
@@ -31,9 +32,11 @@ from .graph import Graph, induced_subgraph, iter_bits
 class RootedView:
     """The tree in BFS order from root over ascending adj; parent[root] is -1.
 
-    pre[x] is the bitset of vertices mapped into the subtree at x and occupied
-    the nodes with nonempty pre, in BFS order; both are empty in a tree-only
-    view, which the views of vertex sets on the same rooted tree extend."""
+    pre[x] is the bitset of vertices mapped into the subtree at x.  kept maps, in BFS
+    order, the nodes with nonempty pre but the root and the pass-through nodes (no
+    vertex of their own, one such child, whose cut they repeat) to the kept nodes
+    nearest below.  Both are empty in a tree-only view, which the views of vertex
+    sets on the same rooted tree extend."""
 
     root: int
     adj: tuple[tuple[int, ...], ...]
@@ -42,7 +45,7 @@ class RootedView:
     children: tuple[tuple[int, ...], ...]
     position: tuple[int, ...]  # position[x] is the index of x in BFS order
     pre: tuple[int, ...] = ()
-    occupied: tuple[int, ...] = ()
+    kept: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: int) -> RootedView:
@@ -85,8 +88,8 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
 class Decomposition:
     """Tree over num_nodes node ids plus tau: vertex index -> node id.
 
-    Its tree-only view is built once, here; _normal_tree caches beside it the trees
-    rooted as root_normalize roots tau cut to a vertex set, one per root leaf.
+    Its tree-only view is built once, here, and starts the cache _normal_tree keeps
+    of the trees rooted as root_normalize roots tau cut to a vertex set, per root.
     """
 
     num_nodes: int
@@ -104,7 +107,7 @@ class Decomposition:
             raise InputError("root out of range")
         tree = _root_tree(k, self.tree_edges, 0 if self.root is None else self.root)
         object.__setattr__(self, "_tree", tree)
-        object.__setattr__(self, "_rerooted", {})  # root -> tree-only view
+        object.__setattr__(self, "_rerooted", {tree.root: tree})  # root -> tree-only view
         for v, node in enumerate(self.tau):
             if not 0 <= node < k:
                 raise InputError(f"tau maps vertex {v} to a non-node")
@@ -116,7 +119,7 @@ class Decomposition:
 
     @cached_property
     def view(self) -> RootedView:
-        """The rooted tree with pre and occupied for this tau, built on first use."""
+        """The rooted tree with pre and kept for this tau, built on first use."""
         return _subtree_view(self._tree, self.tau, (1 << len(self.tau)) - 1)
 
     def node_adjacency(self) -> list[list[int]]:
@@ -124,7 +127,7 @@ class Decomposition:
 
 
 def _subtree_view(tree: RootedView, tau: tuple[int, ...], s: int) -> RootedView:
-    """tree with pre and occupied for the vertices of the bitset s alone."""
+    """tree with pre and kept for the vertices of the bitset s alone."""
     pre = [0] * len(tree.parent)
     members = list(iter_bits(s))
     for v in members:
@@ -134,9 +137,15 @@ def _subtree_view(tree: RootedView, tau: tuple[int, ...], s: int) -> RootedView:
         frontier = {tree.parent[x] for x in frontier} - occupied - {-1}
         occupied |= frontier
     bfs = sorted(occupied, key=tree.position.__getitem__)
+    below: dict[int, list[int]] = {x: [] for x in bfs}  # the kept nodes nearest below, last first
+    kept = {}
     for x in reversed(bfs[1:]):
+        nodes = below[x]
+        if len(nodes) != 1 or pre[x] != pre[nodes[0]]:  # else x repeats that node's cut
+            kept[x], nodes = tuple(reversed(nodes)), [x]
+        below[tree.parent[x]] += nodes
         pre[tree.parent[x]] |= pre[x]
-    return replace(tree, pre=tuple(pre), occupied=tuple(bfs))
+    return replace(tree, pre=tuple(pre), kept=dict(reversed(kept.items())))
 
 
 @dataclass(frozen=True)
@@ -169,13 +178,14 @@ def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
 
 def decomposition_rank(g: Graph, d: Decomposition) -> int:
     view = d.view
-    return max((cut_rank_of(g, view.pre[v]) for v in view.occupied[1:]), default=0)
+    cuts = nested_cut_rows(g, g.vertex_mask, view.pre, view.kept)
+    return max((gf2_rank(rows) for _, _, rows in cuts), default=0)
 
 
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
     """Max over tree edges of the cut's max(#distinct rows, #distinct columns)."""
     view = d.view
-    return max((cut_diversity_of(g, view.pre[v]) for v in view.occupied[1:]), default=0)
+    return max((cut_diversity_of(g, view.pre[v]) for v in view.kept), default=0)
 
 
 def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
@@ -257,24 +267,28 @@ def root_normalize(d: Decomposition) -> Decomposition:
     """
     if d.root is not None:
         return d
-    tree, edges = _normal_tree(d, (1 << len(d.tau)) - 1)
-    return Decomposition(len(edges) + 1, edges, d.tau, tree.root)
+    root, edges = _normal_root(d, (1 << len(d.tau)) - 1)
+    return Decomposition(len(edges) + 1, edges, d.tau, root)
 
 
-def _normal_tree(d: Decomposition, s: int) -> tuple[RootedView, tuple[tuple[int, int], ...]]:
-    """The tree-only view and edges that root_normalize gives d with tau cut down to
-    the vertices of s: rooted at d's root, else at the first leaf no vertex of s maps
-    to, else at a fresh leaf attached to node 0.  Cached on d per root."""
-    tree = d._tree
+def _normal_root(d: Decomposition, s: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The root and edges that root_normalize gives d with tau cut down to the
+    vertices of s: d's root, else the first leaf no vertex of s maps to, else a
+    fresh leaf attached to node 0."""
     if d.root is not None:
-        return tree, d.tree_edges
+        return d.root, d.tree_edges
     used = {d.tau[u] for u in iter_bits(s)}
     fresh = d.num_nodes
-    root = next((v for v in range(fresh) if len(tree.adj[v]) <= 1 and v not in used), fresh)
-    edges = d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
+    root = next((v for v in range(fresh) if len(d._tree.adj[v]) <= 1 and v not in used), fresh)
+    return root, d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
+
+
+def _normal_tree(d: Decomposition, s: int) -> RootedView:
+    """The tree-only view of _normal_root(d, s), cached on d per root."""
+    root, edges = _normal_root(d, s)
     if root not in d._rerooted:
         d._rerooted[root] = _root_tree(len(edges) + 1, edges, root)
-    return d._rerooted[root], edges
+    return d._rerooted[root]
 
 
 def star_decomposition(g: Graph) -> Decomposition:

@@ -246,6 +246,23 @@ def naive_subtree_preimages(d) -> list[int]:
     return pre
 
 
+def naive_kept_nodes(d) -> dict[int, int]:
+    """Each node but the root with a nonempty subtree preimage, mapped to itself if a
+    vertex maps to it or it has other than one such child, else to what that child maps to."""
+    parent, depth = naive_parents(d)
+    pre = naive_subtree_preimages(d)
+    children: list[list[int]] = [[] for _ in range(d.num_nodes)]
+    for x in range(d.num_nodes):
+        if parent[x] != -1 and pre[x]:
+            children[parent[x]].append(x)
+    kept: dict[int, int] = {}
+    for x in sorted(range(d.num_nodes), key=lambda y: -depth[y]):
+        if x != d.root and pre[x]:
+            through = x not in d.tau and len(children[x]) == 1
+            kept[x] = kept[children[x][0]] if through else x
+    return kept
+
+
 def naive_outside_classes(g: Graph, d, v: int) -> list[int]:
     """Class with no outside neighbors first, then classes by outside neighborhood."""
     vv = naive_subtree_preimages(d)[v]

@@ -44,9 +44,23 @@ from rankchi.generate import (
     random_join_tree,
 )
 from rankchi import coloring, config, decomposition, graph, oracles
+from rankchi.cuts import cut_classes
 from rankchi.decomposition import restrict
 
-from helpers import naive_subtree_preimages, random_vertex_subset
+from helpers import naive_kept_nodes, random_vertex_subset
+
+
+def path_join_tree(pieces):
+    """pieces random pieces joined in a path, each one's marker 1 (the first one's
+    marker 0) to the next one's marker 0: a decomposition pieces - 1 nodes deep."""
+    rng = random.Random(1)
+
+    def piece(i):  # its degree in the path plus 1 to 4 vertices
+        degree = 1 if i in (0, pieces - 1) else 2
+        return random_connected_graph(rng, degree + rng.randint(1, 4), 0.3)
+
+    joins = tuple(JoinEdge(i, i + 1, 1 if i else 0, 0) for i in range(pieces - 1))
+    return JoinTree(tuple(map(piece, range(pieces))), joins)
 
 
 def measured_budgets(g, d):
@@ -126,6 +140,36 @@ class TestKeyLemma:
             with pytest.raises(ContractError):
                 key_lemma_coloring(g, d, exact_node_oracle, 1, 6)
 
+    @pytest.mark.parametrize("edges, below, shape", [
+        ([(0, 2), (0, 3), (1, 3), (1, 4)], 0b00011, [2, 3]),
+        ([(0, 3), (1, 4), (2, 3), (2, 4)], 0b00111, [3, 2]),
+    ], ids=["more_columns", "more_rows"])
+    def test_more_classes_than_the_budget_refused_before_coloring(
+            self, monkeypatch, edges, below, shape):
+        """W = {u1, u2} with rows {x1, x2} and {x2, x3} makes a cut with two distinct
+        rows but three distinct columns; W = {u1, u2, u3} with rows {x1}, {x2} and
+        {x1, x2} one with three rows but two columns.  Either side past the budget
+        d = 2 is refused while the cuts are built: no piece is colored and no step
+        checked.  d = 3 colors it."""
+        g = Graph.from_edges(5, edges)
+        d = Decomposition(3, ((0, 1), (1, 2)), tuple(2 if below >> u & 1 else 1 for u in range(5)),
+                          root=0)
+        assert [len(side) for side in cut_classes(g, below)] == shape
+        calls = []
+        monkeypatch.setattr(coloring, "_check_step", lambda *args: calls.append("check"))
+
+        def oracle(h):
+            calls.append("oracle")
+            return exact_node_oracle(h)
+
+        for run in (lambda: key_lemma_coloring(g, d, oracle, 2, 3, check=True),
+                    lambda: coloring._key_lemma(g, d, g.vertex_mask, oracle, 2, 3, False)):
+            with pytest.raises(ContractError, match="^decomposition diversity exceeds budget 2$"):
+                run()
+        assert calls == []
+        col = key_lemma_coloring(g, d, oracle, 3, 3, check=True)
+        assert no_max_clique_monochromatic(g, col) and "oracle" in calls
+
     def test_oracle_budget_violation(self):
         g = complete(4)
         d = Decomposition(2, ((0, 1),), (0, 0, 0, 0), root=1)
@@ -157,10 +201,12 @@ class TestKeyLemma:
             assert loose == col
             assert loose.palette_size <= max(1, decomposition_diversity(g, d)) * (k + 1)
 
-    def test_work_follows_the_occupied_subtree(self, monkeypatch):
-        """On a few vertices of a large star, the cut is read and the check=True
-        properties verified once per node with a nonempty preimage."""
-        calls = {"cut_classes": 0, "_check_step": 0}
+    def test_work_follows_the_kept_nodes(self, monkeypatch):
+        """On a few vertices of a large star, a cut's classes are built and the
+        check=True properties verified once per kept node.  Along the color classes
+        of a 300-piece path join tree, classes are built once per kept node of each
+        key-lemma call, and the pass-through nodes skipped are many."""
+        calls = {"column_classes": 0, "_check_step": 0}
 
         def counted(name):
             original = getattr(coloring, name)
@@ -178,10 +224,26 @@ class TestKeyLemma:
         col = key_lemma_coloring(h, sub, exact_node_oracle, 2, 2, check=True)
         assert no_max_clique_monochromatic(h, col) and col.palette_size <= 2 * 3
         normalized = root_normalize(sub)
-        occupied = sum(1 for x, side in enumerate(naive_subtree_preimages(normalized))
-                       if side and x != normalized.root)
-        assert occupied == 6  # the center and the five leaves holding h
-        assert calls == {"cut_classes": occupied, "_check_step": occupied}
+        kept = naive_kept_nodes(normalized)
+        assert len(kept) == len(set(kept.values())) == 6  # the center and the five leaves
+        assert calls == {"column_classes": 6, "_check_step": 6}
+
+        key_lemma_sets = []
+        key_lemma = coloring._key_lemma
+        monkeypatch.setattr(coloring, "_key_lemma", lambda g, dec, s, *rest: (
+            key_lemma_sets.append(s), key_lemma(g, dec, s, *rest))[1])
+        monkeypatch.setattr(config, "limits", lambda: config.Limits(clique_n=100_000))
+        calls["column_classes"] = 0
+        g, dec, _ = one_join_compose(path_join_tree(300))
+        chi_bounded_coloring(g, dec, exact_node_oracle, ChiBoundFn.constant(32, 1))
+        walked = kept_nodes = 0
+        for s in key_lemma_sets:
+            tau = tuple(dec.tau[u] for u in iter_bits(s))
+            cut_down = root_normalize(Decomposition(dec.num_nodes, dec.tree_edges, tau))
+            kept = naive_kept_nodes(cut_down)
+            walked += len(kept)
+            kept_nodes += len(set(kept.values()))
+        assert calls["column_classes"] == kept_nodes < walked / 2
 
 
 def outcome(run):

@@ -30,20 +30,24 @@ from rankchi import (
     twin_classes,
     validate_rank_decomposition,
 )
-from rankchi.coloring import _piece_quotient
-from rankchi.cuts import cut_classes
-from rankchi.decomposition import _normal_tree, rooted_parents, subtree_preimages
+from rankchi import decomposition
+from rankchi.coloring import _piece_quotient, one_join_compose
+from rankchi.cuts import column_classes, cut_classes, cut_rank_of, gf2_rank, nested_cut_rows
+from rankchi.decomposition import _normal_tree, _subtree_view, rooted_parents, subtree_preimages
 from rankchi.generate import (
     random_cubic_decomposition,
     random_decomposition,
     random_graph,
+    random_join_tree,
 )
+from rankchi.graph import iter_bits
 
 from helpers import (
     matrix_of_cut,
     naive_cut_diversity,
     naive_edge_cut,
     naive_gf2_rank,
+    naive_kept_nodes,
     naive_origin,
     naive_outside_classes,
     naive_parents,
@@ -109,6 +113,15 @@ class TestRankDiversity:
         d = Decomposition(1, (), (0, 0, 0, 0))
         assert decomposition_rank(g, d) == 0
         assert decomposition_diversity(g, d) == 0
+
+    def test_side_past_the_graph_refused(self):
+        """A vertex id past the graph on a cut's side is refused with InputError,
+        whether the side's rows are merged (rank) or read whole (diversity)."""
+        g = path_graph(3)
+        d = Decomposition(2, ((0, 1),), (0, 1, 1, 1))
+        for measure in (decomposition_rank, decomposition_diversity):
+            with pytest.raises(InputError, match="^cut side contains vertices outside the graph$"):
+                measure(g, d)
 
     def test_diversity_sandwich_random(self):
         rng = random.Random(1)
@@ -391,6 +404,21 @@ class TestRootNormalize:
         g = path_graph(2)
         assert decomposition_rank(g, normalized) == decomposition_rank(g, d)
 
+    def test_one_rooting_pass_per_unrooted_decomposition(self, monkeypatch):
+        """root_normalize picks the root without building a rerooted tree: the
+        decomposition it returns roots its tree once, and nothing is cached on d."""
+        calls = []
+        root_tree = decomposition._root_tree
+        monkeypatch.setattr(decomposition, "_root_tree",
+                            lambda *args: (calls.append(args[2]), root_tree(*args))[1])
+        rng = random.Random(4)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(0, 9))
+            d = random_decomposition(rng, g, rng.randint(1, 8))
+            calls.clear()
+            normalized = root_normalize(d)
+            assert calls == [normalized.root] and list(d._rerooted) == [d._tree.root]
+
     def test_restrictions_with_one_root_share_one_tree(self):
         """Vertex sets whose root_normalize root is one leaf share one rooted tree
         of the decomposition, the one the coloring's views are built on."""
@@ -399,8 +427,8 @@ class TestRootNormalize:
         path = Decomposition(3, ((0, 1), (1, 2)), (0, 2) * 300)  # no empty leaf
         for d, root in ((star, 1), (path, 3)):
             s1, s2 = bitset(range(300, 303)), bitset((400, 401, 405))
-            tree = _normal_tree(d, s1)[0]
-            assert tree is _normal_tree(d, s2)[0] and tree.root == root
+            tree = _normal_tree(d, s1)
+            assert tree is _normal_tree(d, s2) and tree.root == root
             a = root_normalize(restrict(g, d, s1)[1])
             b = root_normalize(restrict(g, d, s2)[1])
             assert a.root == b.root == root
@@ -427,6 +455,20 @@ def random_tree_decomposition(rng, g):
     empty_leaves = [v for v in range(len(degree)) if degree[v] <= 1 and v not in tau]
     root = rng.choice(empty_leaves) if empty_leaves and rng.random() < 0.5 else None
     return Decomposition(len(degree), tuple(edges), tau, root)
+
+
+def random_connected_set(rng, g):
+    """A vertex set of g grown from a random vertex by random neighbors: connected."""
+    s = 1 << rng.randrange(g.n)
+    for _ in range(rng.randint(0, g.n)):
+        reach = 0
+        for u in iter_bits(s):
+            reach |= g.adj[u]
+        reach &= ~s
+        if not reach:
+            break
+        s |= 1 << rng.choice(list(iter_bits(reach)))
+    return s
 
 
 def assert_view_matches_oracles(g, d):
@@ -470,31 +512,70 @@ class TestRootedViewAgainstOracles:
                 assert_view_matches_oracles(h, sub)
 
     def test_piece_quotient_matches_twin_classes_of_piece_graph(self):
-        """The quotient read off the view equals the one twin_classes and
-        induced_subgraph give on the n-vertex piece graph."""
+        """At every kept node, the quotient read off the merged cuts equals the one
+        twin_classes and induced_subgraph give on the n-vertex piece graph.  At a
+        pass-through node, which the key lemma skips, no vertex is piece-active."""
         rng = random.Random(11)
-        empty_children = 0
+        empty_children = skipped = 0
         for _ in range(150):
             g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.8))
             d = random_tree_decomposition(rng, g)
             h, sub, _ = restrict(g, d, random_vertex_subset(rng, g.n))
             for graph, dec in ((g, root_normalize(d)), (h, root_normalize(sub))):
                 view = dec.view
-                walked = [v for v in range(dec.num_nodes) if v != dec.root and view.pre[v]]
-                classes = {v: outside_partition(graph, dec, v) for v in walked}
-                cuts = {v: cut_classes(graph, view.pre[v]) for v in walked}
-                for v in walked:
-                    empty_children += sum(not view.pre[c] for c in view.children[v])
+                cuts = {v: (rows, column_classes(rows, rest, graph.n + 1)) for v, rest, rows
+                        in nested_cut_rows(graph, graph.vertex_mask, view.pre, view.kept)}
+                for v in (v for v in range(dec.num_nodes) if v != dec.root and view.pre[v]):
                     piece = piece_graph(graph, dec, v)
+                    active = bitset(
+                        u for u in iter_bits(outside_partition(graph, dec, v)[0])
+                        if piece.adj[u] or dec.tau[u] == v
+                    )
+                    if v not in view.kept:
+                        assert not active
+                        skipped += 1
+                        continue
+                    empty_children += sum(not view.pre[c] for c in view.children[v])
                     expected = twin_classes(piece)
                     quotient, _ = induced_subgraph(piece, sum(m & -m for m in expected))
-                    active = bitset(
-                        u for u in range(graph.n)
-                        if classes[v][0] >> u & 1 and (piece.adj[u] or dec.tau[u] == v)
-                    )
                     assert _piece_quotient(graph, graph.vertex_mask, view, v, cuts) == (
                         expected, quotient, active)
-        assert empty_children > 100
+        assert empty_children > 100 and skipped > 50
+
+    def test_merged_classes_equal_each_cut_read_once(self):
+        """Along the kept nodes of the view of a connected vertex set s, the rows
+        merged bottom-up and the columns refined from them are what cut_classes
+        reads off each occupied node's cut in g[s] (at a pass-through node, off the
+        cut of its kept descendant), and their GF(2) rank is cut_rank_of's."""
+        rng = random.Random(23)
+        pass_through = 0
+        for trial in range(300):
+            if trial % 3 == 0:
+                g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.2, 0.8))
+                dec = random_decomposition(rng, g, rng.randint(1, 10))
+            elif trial % 3 == 1:
+                g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8))
+                dec = random_cubic_decomposition(rng, g)
+            else:
+                g, dec, _ = one_join_compose(random_join_tree(rng, rng.randint(2, 12), extra=3))
+            s = random_connected_set(rng, g)
+            view = _subtree_view(_normal_tree(dec, s), dec.tau, s)
+            merged = {v: (rows, column_classes(rows, rest, g.n + 1))
+                      for v, rest, rows in nested_cut_rows(g, s, view.pre, view.kept)}
+            kept = naive_kept_nodes(root_normalize(restrict(g, dec, s)[1]))
+            assert list(merged) == list(reversed(view.kept)) and set(merged) == set(kept.values())
+            h, remap = induced_subgraph(g, s)
+
+            def in_h(mask):
+                return bitset(map(remap.get, iter_bits(mask)))
+
+            for v, below in kept.items():
+                rows, cols = ({in_h(key): in_h(part) for key, part in classes.items()}
+                              for classes in merged[below])
+                assert (rows, cols) == cut_classes(h, in_h(view.pre[v]))
+                assert gf2_rank(merged[below][0]) == cut_rank_of(h, in_h(view.pre[v]))
+                pass_through += below != v
+        assert pass_through > 100
 
     def test_rooted_parents_and_non_edges(self):
         rng = random.Random(10)
