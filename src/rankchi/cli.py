@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io
 from .coloring import (
     ChiBoundFn,
-    chi_bounded_coloring,
+    _coloring_and_omega,
     color_bound,
     exact_node_oracle,
     one_join_compose,
@@ -39,7 +39,6 @@ from .errors import (
 from .generate import random_graph, random_join_tree
 from .graph import bitset, named_graph
 from .oracles import (
-    clique_number,
     has_vertex_minor,
     is_proper,
     no_max_clique_monochromatic,
@@ -99,11 +98,10 @@ def cmd_color(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     dec = io.decomposition_from_text(_read(args.decomposition), g.n)
     bound = _parse_bound(args.f, args.r)
-    coloring = chi_bounded_coloring(g, dec, exact_node_oracle, bound)
-    # chi_bounded_coloring raises ContractError unless the coloring is proper
+    coloring, omega = _coloring_and_omega(g, dec, exact_node_oracle, bound, False)
+    # _coloring_and_omega raises ContractError unless the coloring is proper
     # and within color_bound(bound, omega) (trivially so on the empty graph),
     # so both checks reported below have passed
-    omega = clique_number(g)
     out = args.out or args.graph + ".coloring"
     Path(out).write_text(io.coloring_to_text(coloring))
     print(f"omega={omega}")

@@ -267,6 +267,12 @@ def chi_bounded_coloring(
     maximum clique, each color class is recolored as a vertex set of g on the
     same tree, and the (outer, inner) color pairs are flattened.
     """
+    return _coloring_and_omega(g, dec, oracle, bound, check)[0]
+
+
+def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle,
+                        bound: ChiBoundFn, check: bool) -> tuple[Coloring, int]:
+    """chi_bounded_coloring's coloring and omega(g), which it searches once."""
     rank = decomposition_rank(g, dec)
     if rank > bound.rank_budget:
         raise ContractError(
@@ -274,30 +280,31 @@ def chi_bounded_coloring(
         )
     omega = clique_number(g)
     colors = [0] * g.n
-    _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, colors)
+    _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, colors, omega)
     result = Coloring(tuple(colors))
     if g.n:
         if not is_proper(g, result):
             raise ContractError("constructed coloring is not proper")
         if result.palette_size > color_bound(bound, omega):
             raise ContractError("constructed coloring exceeds the color bound")
-    return result
+    return result, omega
 
 
 def _color_recursive(
     g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, bound: ChiBoundFn,
-    check: bool, below: int, colors: list[int],
+    check: bool, below: int, colors: list[int], omega_s: int | None = None,
 ) -> None:
     """Write into colors[u], for u in s, a coloring of the subgraph induced on s.
     Its components share one palette; each one, whose clique number omega must be
     less than below, is colored within color_bound(bound, omega): the key lemma
     splits its maximum cliques, each color class recurses with below = omega, and
-    the (outer, inner) color pairs are flattened."""
+    the (outer, inner) color pairs are flattened.  omega_s, when given, is the
+    clique number of s, so a component equal to s is not searched again."""
     for comp in _components(g.adj, s):
         if not comp & (comp - 1):  # a single vertex
             colors[comp.bit_length() - 1] = 1
             continue
-        omega = _max_clique_size(g.adj, comp)
+        omega = omega_s if comp == s and omega_s is not None else _max_clique_size(g.adj, comp)
         if omega >= below:
             raise ContractError("a color class kept the clique number")
         # _key_lemma measures the diversity against the budget 2^r

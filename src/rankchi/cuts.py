@@ -53,17 +53,15 @@ def transpose(m: CutMatrix) -> CutMatrix:
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of bitset rows, by elimination on leading bits."""
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
             lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
+            pivot = pivots.get(lead)
+            if pivot is None:
                 pivots[lead] = row
-                rank += 1
                 break
-    return rank
+            row ^= pivot
+    return len(pivots)
 
 
 def cut_rank(m: CutMatrix) -> int:
@@ -81,11 +79,19 @@ def cut_diversity(m: CutMatrix) -> int:
 
 
 def cut_rank_of(g: Graph, w: int) -> int:
-    """Rank of the cut (w, rest) without materializing column indices."""
+    """Rank of the cut (w, rest), its rows read off the smaller side (a matrix and
+    its transpose have one rank) without materializing column indices."""
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
     other = g.vertex_mask & ~w  # all rows are zero when a side is empty
-    return gf2_rank([g.adj[u] & other for u in iter_bits(w)])
+    if w.bit_count() > other.bit_count():
+        w, other = other, w
+    adj, rows = g.adj, []
+    while w:
+        low = w & -w
+        rows.append(adj[low.bit_length() - 1] & other)
+        w ^= low
+    return gf2_rank(rows)
 
 
 def cut_classes(g: Graph, w: int) -> tuple[dict[int, int], dict[int, int]]:

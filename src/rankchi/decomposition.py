@@ -363,9 +363,9 @@ def exact_rank_width(
             while sub and best > r:
                 sub = (sub - 1) & rest
                 a = low | sub
-                w = max(width[a], width[x ^ a])
-                if w < best:
-                    best = w
+                # max(w(A), w(X - A)) < best, strict so that the first optimal split stays
+                if (wa := width[a]) < best and (wb := width[x ^ a]) < best:
+                    best = wa if wa > wb else wb
                     split[x] = a
             r = max(r, best)
         width[x] = r

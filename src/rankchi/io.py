@@ -14,13 +14,8 @@ from .oracles import Coloring
 
 
 def _tokens(text: str) -> list[list[str]]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(line.split())
-    return out
+    """The fields of each line that is neither blank nor a comment."""
+    return [line for line in map(str.split, text.splitlines()) if line and line[0][0] != "#"]
 
 
 def _ints(parts: list[str], line: list[str]) -> list[int]:
@@ -43,8 +38,10 @@ def _graph_block(header: list[str], edge_lines: list[list[str]]) -> Graph:
     for line in edge_lines:
         if line[0] != "e" or len(line) != 3:
             raise ParseError(f"expected 'e <u> <v>', got {' '.join(line)!r}")
-        u, v = _ints(line[1:], line)
-        edges.append((u, v))
+        try:
+            edges.append((int(line[1]), int(line[2])))
+        except ValueError:
+            _ints(line[1:], line)  # raises the ParseError
     if len(edges) != m:
         raise ParseError(f"header promises {m} edges, file has {len(edges)}")
     try:

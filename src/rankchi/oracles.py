@@ -119,17 +119,30 @@ def greedy_coloring(g: Graph) -> Coloring:
     """DSATUR greedy proper coloring (used as an upper bound and fallback): the
     uncolored vertex with the most distinct neighbor colors, then the highest
     degree, then the lowest id, takes the smallest color its neighbors lack."""
-    seen = [0] * g.n  # seen[v]: bitset of the colors on v's colored neighbors
-    degree = [row.bit_count() for row in g.adj]
-    uncolored = list(range(g.n))
-    colors = [0] * g.n
+    n, adj = g.n, g.adj
+    seen = [0] * n  # seen[v]: bitset of the colors on v's colored neighbors
+    key = [row.bit_count() for row in adj]  # saturation * (n + 1) + degree
+    colors = [0] * n
+    uncolored = g.vertex_mask
     while uncolored:
-        pick = max(uncolored, key=lambda v: (seen[v].bit_count(), degree[v]))
-        uncolored.remove(pick)
+        best, rest = -1, uncolored
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if key[v] > best:
+                best, pick = key[v], v
+            rest ^= low
+        uncolored ^= 1 << pick
         taken = seen[pick] | 1  # bit 0 stands for no color
         colors[pick] = c = ((taken + 1) & ~taken).bit_length() - 1
-        for u in iter_bits(g.adj[pick]):
-            seen[u] |= 1 << c
+        rest = adj[pick] & uncolored
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            rest ^= low
+            if not seen[u] >> c & 1:
+                seen[u] |= 1 << c
+                key[u] += n + 1
     return Coloring(tuple(colors))
 
 
@@ -175,10 +188,13 @@ def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:
-    """True iff no edge is monochromatic; the coloring must be total."""
+    """True iff no vertex has a neighbor of its own color; the coloring must be total."""
     if len(c.colors) != g.n:
         raise InputError("coloring is not total on the vertex set")
-    return all(c.colors[u] != c.colors[v] for u, v in g.edges())
+    masks: dict[int, int] = {}
+    for v, color in enumerate(c.colors):
+        masks[color] = masks.get(color, 0) | 1 << v
+    return not any(row & masks[color] for row, color in zip(g.adj, c.colors))
 
 
 def no_max_clique_monochromatic(g: Graph, c: Coloring, limit: int | None = None) -> bool:

@@ -139,6 +139,15 @@ def reference_greedy_coloring(g: Graph) -> Coloring:
     return Coloring(tuple(colors))
 
 
+def naive_is_proper(g: Graph, colors: tuple[int, ...]) -> bool:
+    """No pair of adjacent vertices shares a color, pair by pair."""
+    return all(
+        colors[u] != colors[v]
+        for u, v in itertools.combinations(range(g.n), 2)
+        if g.has_edge(u, v)
+    )
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

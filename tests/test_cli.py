@@ -156,6 +156,26 @@ class TestColor:
         coloring = coloring_from_text((tmp_path / "out.col").read_text(), 6)
         assert coloring.palette_size <= 6  # B(2) = 2 * (2+1)
 
+    def test_omega_searched_once_on_the_input(self, tmp_path, capsys, monkeypatch):
+        """The printed omega and the coloring's recursion on a connected input take
+        the clique number of the whole graph from one search."""
+        from rankchi import coloring, oracles
+
+        g = wheel(6)
+        omega = clique_number(g)
+        searched = []
+        search = oracles._max_clique_size
+
+        def recorded(adj, cand, best=0):
+            searched.append((adj, cand))
+            return search(adj, cand, best)
+
+        for module in (oracles, coloring):
+            monkeypatch.setattr(module, "_max_clique_size", recorded)
+        code, out = self.run_color(tmp_path, capsys, g, "const:3", 2)
+        assert code == 0 and f"omega={omega}" in out.splitlines()
+        assert searched.count((g.adj, g.vertex_mask)) == 1 and len(searched) > 1
+
     def test_rank_budget_violation_exit_4(self, tmp_path, capsys):
         code, _ = self.run_color(tmp_path, capsys, cycle(5), "const:3", 1)
         assert code == 4

@@ -144,6 +144,19 @@ class TestProperties:
             r = cut_rank_of(g, w)
             assert r <= min(w.bit_count(), n - w.bit_count())
 
+    def test_larger_side_read_through_the_smaller(self):
+        """A side larger than half is read as the transposed cut; its rank is the
+        rank of the cut matrix and of the cut from the other side."""
+        rng = random.Random(6)
+        for _ in range(500):
+            n = rng.randint(3, 12)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            side = rng.sample(range(n), rng.randint(n // 2 + 1, n - 1))
+            w = bitset(side)
+            r = cut_rank_of(g, w)
+            assert r == naive_gf2_rank(matrix_of_cut(g, side))
+            assert r == cut_rank_of(g, g.vertex_mask & ~w)
+
     def test_complement_gives_transpose(self):
         rng = random.Random(5)
         for _ in range(200):

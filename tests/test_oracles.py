@@ -36,6 +36,7 @@ from helpers import (
     cocktail_party,
     naive_chromatic_number,
     naive_clique_number,
+    naive_is_proper,
     petersen,
     reference_greedy_coloring,
 )
@@ -170,6 +171,19 @@ class TestIsProper:
     def test_nonpositive_rejected(self):
         with pytest.raises(InputError):
             Coloring((0, 1))
+
+    def test_against_the_edge_loop(self):
+        """Random colorings from a few colors, most of them improper, judged as
+        the pair-by-pair reference judges them."""
+        rng = random.Random(13)
+        verdicts = []
+        for _ in range(2000):
+            n = rng.randint(1, 14)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.6))
+            c = Coloring(tuple(rng.randint(1, rng.randint(1, n)) for _ in range(n)))
+            verdicts.append(is_proper(g, c))
+            assert verdicts[-1] == naive_is_proper(g, c.colors)
+        assert 0 < sum(verdicts) < len(verdicts) / 2
 
 
 class TestMaxCliqueMonochromatic:
