@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import count
 
 from .cuts import column_classes, nested_cut_rows
-from .decomposition import (Decomposition, RootedView, _climb_to, _normal_tree, _ordered_classes,
-                            _subtree_view, decomposition_rank)
+from .decomposition import (Decomposition, RootedView, _climb_to, _ordered_classes, _subtree_view,
+                            decomposition_rank)
 from .errors import ContractError, InputError
 from .graph import Graph, _components, bitset, connected_components, iter_bits, one_join
 from .oracles import (Coloring, _max_clique_size, chromatic_number, clique_number,
@@ -125,6 +125,8 @@ def key_lemma_coloring(
     at most the budget d, and an oracle coloring every piece graph with at
     most k colors.  The construction then works with the measured diversity,
     so the palette is at most max(1, diversity)·(k+1), however loose d is.
+    The walk runs top-down from d_input's root, or node 0 when unrooted; a root
+    that carries vertices colors as an empty leaf hung above it would.
     With check=True the four inductive properties are verified at each node.
     """
     if g.n < 2:
@@ -138,10 +140,10 @@ def key_lemma_coloring(
 def _key_lemma(
     g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, d: int, k: int, check: bool
 ) -> dict[int, int]:
-    """key_lemma_coloring of g[s], tau cut down to s and the tree rooted as
-    root_normalize roots that restriction, as a map from s to colors; s must
-    induce a connected subgraph with at least two vertices.  Only kept nodes are
-    walked: a pass-through node colors nothing and is the origin of no edge.  Their
+    """key_lemma_coloring of g[s] and tau cut down to s, on dec's own rooted tree, as a
+    map from s to colors; s must induce a connected subgraph with at least two
+    vertices.  Only kept nodes are walked, the root among them unless it passes
+    through: a pass-through node colors nothing and is the origin of no edge.  Their
     cuts' classes, merged bottom-up, give the diversity, outside classes and piece
     twin quotients, and one colored member per class the colors on V_v."""
     if d < 1:
@@ -150,7 +152,7 @@ def _key_lemma(
         raise InputError("piece color budget k must be at least 1")
     if len(dec.tau) != g.n:
         raise InputError(f"decomposition maps {len(dec.tau)} vertices, graph has {g.n}")
-    view = _subtree_view(_normal_tree(dec, s), dec.tau, s)
+    view = _subtree_view(dec._tree, dec.tau, s)
     pre, kept = view.pre, view.kept
     walk = tuple(kept)
     # refused past d classes on a side before any vertex is colored
@@ -265,7 +267,7 @@ def chi_bounded_coloring(
 
     Recursion on the clique number: the key-lemma coloring splits every
     maximum clique, each color class is recolored as a vertex set of g on the
-    same tree, and the (outer, inner) color pairs are flattened.
+    same tree, and the classes' colors are laid end to end.
     """
     return _coloring_and_omega(g, dec, oracle, bound, check)[0]
 
@@ -297,9 +299,9 @@ def _color_recursive(
     """Write into colors[u], for u in s, a coloring of the subgraph induced on s.
     Its components share one palette; each one, whose clique number omega must be
     less than below, is colored within color_bound(bound, omega): the key lemma
-    splits its maximum cliques, each color class recurses with below = omega, and
-    the (outer, inner) color pairs are flattened.  omega_s, when given, is the
-    clique number of s, so a component equal to s is not searched again."""
+    splits its maximum cliques, each color class recurses with below = omega and
+    takes the colors after those of the classes before it.  omega_s, when given,
+    is the clique number of s, so a component equal to s is not searched again."""
     for comp in _components(g.adj, s):
         if not comp & (comp - 1):  # a single vertex
             colors[comp.bit_length() - 1] = 1
@@ -313,16 +315,13 @@ def _color_recursive(
         class_masks: dict[int, int] = {}
         for u, c in phi.items():
             class_masks[c] = class_masks.get(c, 0) | 1 << u
-        index = {c: i for i, c in enumerate(sorted(class_masks))}
-        for c in index:
+        offset = 0  # each class uses exactly 1..m and takes the m colors after offset
+        for c in sorted(class_masks):
             _color_recursive(g, dec, class_masks[c], oracle, bound, check, omega, colors)
-
-        widest = max(colors[u] for u in phi)
-        flat = {u: index[c] * widest + colors[u] for u, c in phi.items()}
-        # compress to 1..m preserving distinctness
-        rank_of = {val: i + 1 for i, val in enumerate(sorted(set(flat.values())))}
-        for u, val in flat.items():
-            colors[u] = rank_of[val]
+            members = list(iter_bits(class_masks[c]))
+            for u in members:
+                colors[u] += offset
+            offset = max(colors[u] for u in members)
 
 
 # --- 1-join trees -----------------------------------------------------------

@@ -10,9 +10,8 @@ node 0 when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the
 vertices mapped into the subtree at v, so diversity takes one pass over the
 nodes and a piece graph one bitset mask per vertex; rank merges the rows of the
 view's kept nodes, bottom-up (cuts.nested_cut_rows).  The coloring
-recursion reads views of vertex sets s of the graph (_subtree_view), on the
-tree rooted as root_normalize roots tau cut to s; the decomposition keeps one
-such rooted tree per root leaf, which the views of all its vertex sets share.
+recursion reads views of vertex sets s of the graph (_subtree_view) on that same
+rooted tree, whatever s is.
 Rank-decompositions and exact rank-width, by a dynamic programme over vertex
 subsets, live here too.
 """
@@ -33,10 +32,10 @@ class RootedView:
     """The tree in BFS order from root over ascending adj; parent[root] is -1.
 
     pre[x] is the bitset of vertices mapped into the subtree at x.  kept maps, in BFS
-    order, the nodes with nonempty pre but the root and the pass-through nodes (no
-    vertex of their own, one such child, whose cut they repeat) to the kept nodes
-    nearest below.  Both are empty in a tree-only view, which the views of vertex
-    sets on the same rooted tree extend."""
+    order, the nodes with nonempty pre but the pass-through nodes (no vertex of their
+    own, one such child, whose cut they repeat) to the kept nodes nearest below; the
+    root is kept like any other node, its cut the degenerate (pre[root], empty).
+    Both are empty in a tree-only view, which the views of vertex sets extend."""
 
     root: int
     adj: tuple[tuple[int, ...], ...]
@@ -88,8 +87,8 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
 class Decomposition:
     """Tree over num_nodes node ids plus tau: vertex index -> node id.
 
-    Its tree-only view is built once, here, and starts the cache _normal_tree keeps
-    of the trees rooted as root_normalize roots tau cut to a vertex set, per root.
+    Its tree-only view is built once, here; the views of tau and of every vertex set
+    the coloring reads extend it.
     """
 
     num_nodes: int
@@ -107,7 +106,6 @@ class Decomposition:
             raise InputError("root out of range")
         tree = _root_tree(k, self.tree_edges, 0 if self.root is None else self.root)
         object.__setattr__(self, "_tree", tree)
-        object.__setattr__(self, "_rerooted", {tree.root: tree})  # root -> tree-only view
         for v, node in enumerate(self.tau):
             if not 0 <= node < k:
                 raise InputError(f"tau maps vertex {v} to a non-node")
@@ -139,12 +137,13 @@ def _subtree_view(tree: RootedView, tau: tuple[int, ...], s: int) -> RootedView:
     bfs = sorted(occupied, key=tree.position.__getitem__)
     below: dict[int, list[int]] = {x: [] for x in bfs}  # the kept nodes nearest below, last first
     kept = {}
-    for x in reversed(bfs[1:]):
+    for x in reversed(bfs):
         nodes = below[x]
         if len(nodes) != 1 or pre[x] != pre[nodes[0]]:  # else x repeats that node's cut
             kept[x], nodes = tuple(reversed(nodes)), [x]
-        below[tree.parent[x]] += nodes
-        pre[tree.parent[x]] |= pre[x]
+        if x != tree.root:
+            below[tree.parent[x]] += nodes
+            pre[tree.parent[x]] |= pre[x]
     return replace(tree, pre=tuple(pre), kept=dict(reversed(kept.items())))
 
 
@@ -260,35 +259,18 @@ def restrict(g: Graph, d: Decomposition, s: int) -> tuple[Graph, Decomposition, 
 
 
 def root_normalize(d: Decomposition) -> Decomposition:
-    """Ensure a root leaf with empty preimage, attaching a fresh leaf if needed.
+    """Ensure a root leaf with empty preimage: the first leaf no vertex maps to,
+    else a fresh leaf attached to node 0.
 
     The added edge induces the degenerate (empty, V) cut of rank zero, so rank
     and diversity are unchanged.
     """
     if d.root is not None:
         return d
-    root, edges = _normal_root(d, (1 << len(d.tau)) - 1)
-    return Decomposition(len(edges) + 1, edges, d.tau, root)
-
-
-def _normal_root(d: Decomposition, s: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The root and edges that root_normalize gives d with tau cut down to the
-    vertices of s: d's root, else the first leaf no vertex of s maps to, else a
-    fresh leaf attached to node 0."""
-    if d.root is not None:
-        return d.root, d.tree_edges
-    used = {d.tau[u] for u in iter_bits(s)}
-    fresh = d.num_nodes
+    used, fresh = set(d.tau), d.num_nodes
     root = next((v for v in range(fresh) if len(d._tree.adj[v]) <= 1 and v not in used), fresh)
-    return root, d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
-
-
-def _normal_tree(d: Decomposition, s: int) -> RootedView:
-    """The tree-only view of _normal_root(d, s), cached on d per root."""
-    root, edges = _normal_root(d, s)
-    if root not in d._rerooted:
-        d._rerooted[root] = _root_tree(len(edges) + 1, edges, root)
-    return d._rerooted[root]
+    edges = d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
+    return Decomposition(len(edges) + 1, edges, d.tau, root)
 
 
 def star_decomposition(g: Graph) -> Decomposition:

@@ -8,6 +8,7 @@ shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -70,7 +71,7 @@ class Graph:
             adj[v] |= 1 << u
         return cls._trusted(n, tuple(adj))
 
-    @property
+    @cached_property
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 

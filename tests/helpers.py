@@ -226,12 +226,14 @@ def naive_piece_edges(g: Graph, d, v: int) -> set[tuple[int, int]]:
 
 
 def naive_parents(d) -> tuple[list[int], list[int]]:
-    """Parent (-1 at the root) and depth of every node, by DFS from d.root."""
+    """Parent (-1 at the root) and depth of every node, by DFS from d.root, or from
+    node 0 when d is unrooted."""
     adj = tree_adjacency(d)
     parent = [-1] * d.num_nodes
     depth = [0] * d.num_nodes
-    stack = [d.root]
-    seen = {d.root}
+    root = 0 if d.root is None else d.root
+    stack = [root]
+    seen = {root}
     while stack:
         x = stack.pop()
         for y in adj[x]:
@@ -256,8 +258,9 @@ def naive_subtree_preimages(d) -> list[int]:
 
 
 def naive_kept_nodes(d) -> dict[int, int]:
-    """Each node but the root with a nonempty subtree preimage, mapped to itself if a
-    vertex maps to it or it has other than one such child, else to what that child maps to."""
+    """Each node with a nonempty subtree preimage, the root included, mapped to itself if
+    a vertex maps to it or it has other than one such child, else to what that child
+    maps to.  Rooted as naive_parents roots d."""
     parent, depth = naive_parents(d)
     pre = naive_subtree_preimages(d)
     children: list[list[int]] = [[] for _ in range(d.num_nodes)]
@@ -266,7 +269,7 @@ def naive_kept_nodes(d) -> dict[int, int]:
             children[parent[x]].append(x)
     kept: dict[int, int] = {}
     for x in sorted(range(d.num_nodes), key=lambda y: -depth[y]):
-        if x != d.root and pre[x]:
+        if pre[x]:
             through = x not in d.tau and len(children[x]) == 1
             kept[x] = kept[children[x][0]] if through else x
     return kept

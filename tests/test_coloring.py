@@ -223,8 +223,7 @@ class TestKeyLemma:
         h, sub, _ = restrict(g, star_decomposition(g), (1 << 1000) - (1 << 995))
         col = key_lemma_coloring(h, sub, exact_node_oracle, 2, 2, check=True)
         assert no_max_clique_monochromatic(h, col) and col.palette_size <= 2 * 3
-        normalized = root_normalize(sub)
-        kept = naive_kept_nodes(normalized)
+        kept = naive_kept_nodes(sub)
         assert len(kept) == len(set(kept.values())) == 6  # the center and the five leaves
         assert calls == {"column_classes": 6, "_check_step": 6}
 
@@ -239,8 +238,7 @@ class TestKeyLemma:
         walked = kept_nodes = 0
         for s in key_lemma_sets:
             tau = tuple(dec.tau[u] for u in iter_bits(s))
-            cut_down = root_normalize(Decomposition(dec.num_nodes, dec.tree_edges, tau))
-            kept = naive_kept_nodes(cut_down)
+            kept = naive_kept_nodes(Decomposition(dec.num_nodes, dec.tree_edges, tau))
             walked += len(kept)
             kept_nodes += len(set(kept.values()))
         assert calls["column_classes"] == kept_nodes < walked / 2
@@ -291,6 +289,37 @@ class TestKeyLemmaOnVertexSets:
                         assert mine == theirs
         assert colored > 300 and refused > 200
 
+    def test_walked_root_colors_as_a_fresh_root_leaf(self):
+        """The key lemma walks the root of dec's tree like any other node: on a
+        connected vertex set it gives what it gives with a fresh empty root leaf hung
+        on that root, with check=True too, and budget refusals carry the same message.
+        The cases include roots that carry vertices and roots that pass through."""
+        rng = random.Random(17)
+        colored = refused = root_holds = 0
+        for trial in range(90):
+            if trial % 3 == 0:
+                g, dec, _ = one_join_compose(random_join_tree(rng, rng.randint(2, 7), extra=3))
+            else:
+                g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.3, 0.8))
+                dec = (random_cubic_decomposition(rng, g) if trial % 3 == 1
+                       else random_decomposition(rng, g, rng.randint(1, 6)))
+            k = dec.num_nodes
+            hung = Decomposition(k + 1, dec.tree_edges + ((dec._tree.root, k),), dec.tau, k)
+            root_holds += dec._tree.root in dec.tau
+            sets = graph._components(g.adj, g.vertex_mask)
+            sets += graph._components(g.adj, random_vertex_subset(rng, g.n))
+            for mask in (s for s in sets if s & (s - 1)):
+                budgets = rng.choice((1, 2, 64)), rng.choice((2, 64))
+                for check in (False, True):
+                    walked, fresh = (outcome(lambda: coloring._key_lemma(
+                        g, d, mask, exact_node_oracle, *budgets, check)) for d in (dec, hung))
+                    assert walked == fresh
+                    if isinstance(walked, dict):
+                        colored += 1
+                    else:
+                        refused += 1
+        assert colored > 100 and refused > 50 and root_holds > 20
+
     def test_recursion_builds_no_subgraph(self, monkeypatch):
         """chi_bounded_coloring colors components and color classes as vertex sets
         of the input graph: it makes no induced subgraph, restricted decomposition
@@ -322,6 +351,23 @@ class TestKeyLemmaOnVertexSets:
             assert is_proper(g, col)
         assert len(key_lemma_sets) > 6  # the recursion went below the six top levels
         assert calls == Counter()
+
+    def test_no_tree_rooted_while_coloring(self, monkeypatch):
+        """Every view the coloring reads is built on the decomposition's one rooted
+        tree, so once the decomposition exists no tree is rooted again: on a star
+        decomposition, which has no empty leaf, and on a join tree's."""
+        monkeypatch.setattr(config, "limits", lambda: config.Limits(clique_n=100_000))
+        rng = random.Random(5)
+        g = random_connected_graph(rng, 12, 0.4)
+        cases = [(g, star_decomposition(g)), one_join_compose(random_join_tree(rng, 8, extra=3))[:2]]
+        calls = []
+        root_tree = decomposition._root_tree
+        monkeypatch.setattr(decomposition, "_root_tree", lambda *args: (
+            calls.append(args[2]), root_tree(*args))[1])
+        for g, dec in cases:
+            col = chi_bounded_coloring(g, dec, exact_node_oracle, ChiBoundFn.constant(g.n, 1))
+            assert is_proper(g, col)
+        assert calls == []
 
 
 EDGE = "edge with processed origin has uncolored endpoint"

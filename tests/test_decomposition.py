@@ -18,6 +18,7 @@ from rankchi import (
     decomposition_diversity,
     decomposition_rank,
     edge_cut,
+    exact_node_oracle,
     exact_rank_width,
     induced_subgraph,
     origin,
@@ -30,10 +31,10 @@ from rankchi import (
     twin_classes,
     validate_rank_decomposition,
 )
-from rankchi import decomposition
+from rankchi import coloring, decomposition
 from rankchi.coloring import _piece_quotient, one_join_compose
 from rankchi.cuts import column_classes, cut_classes, cut_rank_of, gf2_rank, nested_cut_rows
-from rankchi.decomposition import _normal_tree, _subtree_view, rooted_parents, subtree_preimages
+from rankchi.decomposition import _subtree_view, rooted_parents, subtree_preimages
 from rankchi.generate import (
     random_cubic_decomposition,
     random_decomposition,
@@ -406,7 +407,7 @@ class TestRootNormalize:
 
     def test_one_rooting_pass_per_unrooted_decomposition(self, monkeypatch):
         """root_normalize picks the root without building a rerooted tree: the
-        decomposition it returns roots its tree once, and nothing is cached on d."""
+        decomposition it returns roots its tree once."""
         calls = []
         root_tree = decomposition._root_tree
         monkeypatch.setattr(decomposition, "_root_tree",
@@ -417,23 +418,24 @@ class TestRootNormalize:
             d = random_decomposition(rng, g, rng.randint(1, 8))
             calls.clear()
             normalized = root_normalize(d)
-            assert calls == [normalized.root] and list(d._rerooted) == [d._tree.root]
+            assert calls == [normalized.root]
 
-    def test_restrictions_with_one_root_share_one_tree(self):
-        """Vertex sets whose root_normalize root is one leaf share one rooted tree
-        of the decomposition, the one the coloring's views are built on."""
+    def test_restrictions_with_one_root_share_one_tree(self, monkeypatch):
+        """The key lemma builds the view of every vertex set on the decomposition's
+        one rooted tree, d._tree, whether d has a root leaf, an empty leaf or none;
+        the view is rooted as the restriction of d to the set is."""
+        trees = []
+        monkeypatch.setattr(coloring, "_subtree_view", lambda tree, tau, s: (
+            trees.append(tree), _subtree_view(tree, tau, s))[1])
         g = path_graph(600)
         star = star_decomposition(g)  # leaf i + 1 holds vertex i
         path = Decomposition(3, ((0, 1), (1, 2)), (0, 2) * 300)  # no empty leaf
-        for d, root in ((star, 1), (path, 3)):
-            s1, s2 = bitset(range(300, 303)), bitset((400, 401, 405))
-            tree = _normal_tree(d, s1)
-            assert tree is _normal_tree(d, s2) and tree.root == root
-            a = root_normalize(restrict(g, d, s1)[1])
-            b = root_normalize(restrict(g, d, s2)[1])
-            assert a.root == b.root == root
-            assert rooted_parents(a) == naive_parents(a)
-            assert rooted_parents(b) == naive_parents(b)
+        for d in (star, path, root_normalize(path)):
+            trees.clear()
+            for s in (bitset(range(300, 303)), bitset(range(400, 406))):
+                coloring._key_lemma(g, d, s, exact_node_oracle, 64, 64, True)
+                assert list(trees[-1].parent) == naive_parents(restrict(g, d, s)[1])[0]
+            assert len(trees) == 2 and all(tree is d._tree for tree in trees)
 
 
 def random_tree_decomposition(rng, g):
@@ -559,10 +561,10 @@ class TestRootedViewAgainstOracles:
             else:
                 g, dec, _ = one_join_compose(random_join_tree(rng, rng.randint(2, 12), extra=3))
             s = random_connected_set(rng, g)
-            view = _subtree_view(_normal_tree(dec, s), dec.tau, s)
+            view = _subtree_view(dec._tree, dec.tau, s)
             merged = {v: (rows, column_classes(rows, rest, g.n + 1))
                       for v, rest, rows in nested_cut_rows(g, s, view.pre, view.kept)}
-            kept = naive_kept_nodes(root_normalize(restrict(g, dec, s)[1]))
+            kept = naive_kept_nodes(restrict(g, dec, s)[1])
             assert list(merged) == list(reversed(view.kept)) and set(merged) == set(kept.values())
             h, remap = induced_subgraph(g, s)
 
