@@ -146,6 +146,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     if args.n < 0:
         raise InputError("--n must be nonnegative")
+    if not 0 <= args.p <= 1:  # false for nan too
+        raise InputError(f"--p must be a probability in [0, 1], got {args.p}")
 
     def emit(ext: str, text: str) -> str:
         path = f"{args.out}.{ext}"

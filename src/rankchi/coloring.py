@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 
 from .cuts import column_classes, nested_cut_rows
 from .decomposition import (Decomposition, RootedView, _climb_to, _ordered_classes, _subtree_view,
@@ -360,22 +360,13 @@ class JoinTree:
                 markers[piece].add(marker)
 
 
-def _marker_sets(jt: JoinTree) -> tuple[dict, list[int], dict]:
-    """marker_of[(i, j)], piece i's marker toward j; each piece's markers as a
-    bitset; and vmap, the global id of each other (piece, vertex), in id order."""
-    marker_of: dict[tuple[int, int], int] = {}
-    consumed = [0] * len(jt.pieces)
-    for e in jt.joins:
-        marker_of[(e.left, e.right)] = e.left_marker
-        marker_of[(e.right, e.left)] = e.right_marker
-        consumed[e.left] |= 1 << e.left_marker
-        consumed[e.right] |= 1 << e.right_marker
-    vmap: dict[tuple[int, int], int] = {}
-    for i, piece in enumerate(jt.pieces):
-        for u in range(piece.n):
-            if not consumed[i] >> u & 1:
-                vmap[(i, u)] = len(vmap)
-    return marker_of, consumed, vmap
+def _vertex_ids(jt: JoinTree) -> dict[tuple[int, int], int]:
+    """The global id of every (piece, vertex): those that no join consumes take
+    0..n-1 in (piece, vertex) order, then the markers take n, n+1, ..."""
+    markers = {(i, w) for e in jt.joins
+               for i, w in ((e.left, e.left_marker), (e.right, e.right_marker))}
+    labels = [(i, u) for i, piece in enumerate(jt.pieces) for u in range(piece.n)]
+    return {label: k for k, label in enumerate(sorted(labels, key=markers.__contains__))}
 
 
 def one_join_compose(
@@ -383,51 +374,36 @@ def one_join_compose(
 ) -> tuple[Graph, Decomposition, dict[tuple[int, int], int]]:
     """Compose the pieces along the join tree; emit the rank-1 decomposition.
 
-    Cross edges are found by propagating marker-neighborhood frontiers over
-    the decomposition's rooted view, which makes the result manifestly
-    independent of any join order.  With check=True the composition is also
-    replayed as sequential pairwise joins in two different edge orders and
-    compared.
+    All pieces, markers included, are rows of one bitset graph, and each 1-join
+    is applied in place: with both markers' neighborhoods read first, every
+    neighbor of one marker drops it and gains the other's neighborhood.  The
+    joins' order does not matter: u and w end adjacent exactly when, along the
+    tree path between their pieces, u sees the first marker, each inner
+    piece's two markers are adjacent and the last marker sees w.  No live row
+    keeps a joined marker's bit, so the first n rows are the composed graph.
+    With check=True the composition is also replayed as sequential pairwise
+    joins in two different edge orders and compared.
     """
-    marker_of, consumed, vmap = _marker_sets(jt)
-    n = len(vmap)
+    ids = _vertex_ids(jt)
+    n = len(ids) - 2 * len(jt.joins)
+    adj = [0] * len(ids)
+    for (i, u), k in ids.items():
+        for w in iter_bits(jt.pieces[i].adj[u]):
+            adj[k] |= 1 << ids[(i, w)]
+    for e in jt.joins:
+        a, b = ids[(e.left, e.left_marker)], ids[(e.right, e.right_marker)]
+        na, nb, bit_a, bit_b = adj[a], adj[b], 1 << a, 1 << b
+        for u in iter_bits(na):
+            adj[u] = adj[u] ^ bit_a | nb
+        for w in iter_bits(nb):
+            adj[w] = adj[w] ^ bit_b | na
+    vmap = dict(islice(ids.items(), n))
     dec = Decomposition(
         num_nodes=len(jt.pieces),
         tree_edges=tuple((e.left, e.right) for e in jt.joins),
         tau=tuple(i for i, _ in vmap),
     )
-    view = dec.view
-    order = sorted(range(len(jt.pieces)), key=view.position.__getitem__)
-    # frontier[(i, j)], sent from piece i's side across edge (i, j), needs those
-    # sent to i across its other edges: child -> parent bottom-up, then top-down
-    frontier: dict[tuple[int, int], int] = {}
-    up = [(i, view.parent[i]) for i in reversed(order[1:])]
-    for i, j in up + [(j, i) for i, j in reversed(up)]:
-        w = marker_of[(i, j)]
-        s = 0
-        for u in iter_bits(jt.pieces[i].adj[w] & ~consumed[i]):
-            s |= 1 << vmap[(i, u)]
-        for h in view.adj[i]:
-            if h != j and jt.pieces[i].has_edge(w, marker_of[(i, h)]):
-                s |= frontier[(h, i)]
-        frontier[(i, j)] = s
-
-    adj = [0] * n
-    for i, piece in enumerate(jt.pieces):
-        for u, w in piece.edges():
-            if consumed[i] >> u & 1 or consumed[i] >> w & 1:
-                continue
-            gu, gw = vmap[(i, u)], vmap[(i, w)]
-            adj[gu] |= 1 << gw
-            adj[gw] |= 1 << gu
-    for e in jt.joins:
-        left = frontier[(e.left, e.right)]
-        right = frontier[(e.right, e.left)]
-        for u in iter_bits(left):
-            adj[u] |= right
-        for w in iter_bits(right):
-            adj[w] |= left
-    composed = Graph._trusted(n, tuple(adj))
+    composed = Graph._trusted(n, tuple(adj[:n]))
     rank = decomposition_rank(composed, dec)
     if rank > 1:
         raise ContractError(f"1-join decomposition has rank {rank} > 1")
@@ -444,7 +420,7 @@ def compose_sequential(jt: JoinTree, edge_order: list[JoinEdge]) -> Graph:
     Returns the composed graph relabeled to the same global ids that
     one_join_compose assigns, so results are directly comparable.
     """
-    vmap = _marker_sets(jt)[2]
+    vmap = _vertex_ids(jt)
     comp_of = list(range(len(jt.pieces)))
     graphs: dict[int, Graph] = dict(enumerate(jt.pieces))
     labels: dict[int, list[tuple[int, int]]] = {

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .config import check_ceiling
 from .cuts import cut_classes, cut_diversity_of, cut_rank_of, gf2_rank, nested_cut_rows
-from .errors import InputError, StateError, ValidationError
+from .errors import ContractError, InputError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
 
 
@@ -367,4 +367,7 @@ def exact_rank_width(
             node = x.bit_length() - 1
         edges.append((min(node, above), max(node, above)))
     d = Decomposition(2 * n - 2, tuple(sorted(edges)), tuple(range(n)))
-    return width[top], validate_rank_decomposition(g, d)
+    witness = validate_rank_decomposition(g, d)
+    if witness.width != width[top]:
+        raise ContractError(f"witness has width {witness.width}, the search found {width[top]}")
+    return width[top], witness

@@ -384,6 +384,15 @@ class TestGen:
             assert "at least 2" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_probability_outside_unit_interval_exit_2(self, tmp_path, capsys):
+        for mode in ("er", "rw", "jointree"):
+            for p in ("1.5", "-0.1", "nan"):
+                assert main(["gen", "--mode", mode, "--n", "4", "--seed", "1", "--p", p,
+                             "--out", str(tmp_path / "j")]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: --p must be") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_jointree_four_pieces_output_unchanged(self, tmp_path, capsys):
         """--n 4 --seed 9 writes the same bytes as when --n was clamped to 2..6
         pieces and --p ignored: 0.5 is random_join_tree's default too."""

@@ -3,6 +3,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankchi import (
     ChiBoundFn,
@@ -61,6 +63,23 @@ def path_join_tree(pieces):
 
     joins = tuple(JoinEdge(i, i + 1, 1 if i else 0, 0) for i in range(pieces - 1))
     return JoinTree(tuple(map(piece, range(pieces))), joins)
+
+
+@st.composite
+def join_trees(draw):
+    """Join trees of up to 8 pieces with edge probability up to 1, so markers are
+    often adjacent and a join rewrites the row of a marker joined later."""
+    k = draw(st.integers(1, 8))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
+    degree = Counter(i for edge in tree for i in edge)
+    p = draw(st.floats(0, 1))
+    pieces, pools = [], []
+    for i in range(k):
+        size = degree[i] + draw(st.integers(1, 3))
+        pieces.append(random_connected_graph(random.Random(draw(st.integers(0, 2**16))), size, p))
+        pools.append(draw(st.permutations(range(size))))
+    joins = tuple(JoinEdge(a, b, pools[a].pop(), pools[b].pop()) for a, b in tree)
+    return JoinTree(tuple(pieces), joins)
 
 
 def measured_budgets(g, d):
@@ -548,8 +567,8 @@ class TestJoinTree:
             assert compose_sequential(jt, order) == composed
 
     def test_join_order_does_not_change_the_composition(self):
-        """The frontiers follow the decomposition's sorted tree adjacency, so
-        listing the joins backwards, or each one mirrored, composes the same."""
+        """Joins along a tree commute and each is applied in place, so listing
+        the joins backwards, or each one mirrored, composes the same."""
         rng = random.Random(5)
         for _ in range(40):
             jt = random_join_tree(rng, rng.randint(2, 12), extra=4)
@@ -561,9 +580,21 @@ class TestJoinTree:
                 assert other == composed
                 assert other_dec.tau == dec.tau and other_vmap == vmap
 
+    @given(join_trees(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_in_place_joins_match_sequential_joins(self, jt, data):
+        composed, dec, vmap = one_join_compose(jt)
+        assert compose_sequential(jt, data.draw(st.permutations(jt.joins))) == composed
+        mirrored = tuple(JoinEdge(e.right, e.left, e.right_marker, e.left_marker)
+                         for e in jt.joins)
+        for joins in (tuple(reversed(jt.joins)), mirrored):
+            other, other_dec, other_vmap = one_join_compose(JoinTree(jt.pieces, joins))
+            assert other == composed
+            assert other_dec.tau == dec.tau and other_vmap == vmap
+
     def test_long_marker_chain_composes(self):
-        """Adjacent markers pass each frontier on through every piece of a path of
-        triangles, so the frontiers chain 1,500 pieces deep."""
+        """In a path of 1,500 triangles each piece's two markers are adjacent, so
+        every join rewrites the row of the marker joined next."""
         pieces = 1500
         jt = JoinTree((complete(3),) * pieces,
                       tuple(JoinEdge(i, i + 1, 1, 0) for i in range(pieces - 1)))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rankchi import (
+    ContractError,
     Decomposition,
     Graph,
     InputError,
@@ -331,6 +332,15 @@ class TestExactRankWidth:
         assert witness.width == width
         revalidated = validate_rank_decomposition(g, witness.decomposition)
         assert revalidated.width == width
+
+    def test_witness_off_the_searched_width_is_refused(self, monkeypatch):
+        """The witness's recomputed rank is compared with the width the search
+        found, so a witness one wider than the search is a contract failure."""
+        true_rank = decomposition.decomposition_rank
+        monkeypatch.setattr(decomposition, "decomposition_rank",
+                            lambda g, d: true_rank(g, d) + 1)
+        with pytest.raises(ContractError, match="witness has width 3"):
+            exact_rank_width(cycle(6))
 
     def test_never_beaten_by_supplied_decomposition(self):
         rng = random.Random(7)
