@@ -5,15 +5,16 @@ coloring with at most d(k+1) colors under which no maximum clique is
 monochromatic; a node costs its cut's classes, merged from those below it.
 chi_bounded_coloring turns that into a proper coloring by
 recursing on the clique number over the color classes, as vertex sets of the
-input graph on its own tree.  one_join_compose realizes the 1-join tree
-construction together with its rank-1 decomposition.
+input graph on its own tree; both pass one bitset per color and ask the piece
+oracle once per distinct twin quotient in a call.  one_join_compose realizes
+the 1-join tree construction together with its rank-1 decomposition.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, zip_longest
 
 from .cuts import column_classes, nested_cut_rows
 from .decomposition import (Decomposition, RootedView, _climb_to, _ordered_classes, _subtree_view,
@@ -133,19 +134,29 @@ def key_lemma_coloring(
         raise InputError("key lemma needs a graph with at least two vertices")
     if len(connected_components(g)) != 1:
         raise InputError("key lemma needs a connected graph")
-    phi = _key_lemma(g, d_input, g.vertex_mask, oracle, d, k, check)
-    return Coloring(tuple(phi[u] for u in range(g.n)))
+    return _coloring_of(_key_lemma(g, d_input, g.vertex_mask, oracle, d, k, check, {}), g.n)
+
+
+def _coloring_of(masks: list[int], n: int) -> Coloring:
+    """The coloring of n vertices that gives color c to the vertices of masks[c - 1]."""
+    colors = [0] * n
+    for c, mask in enumerate(masks, 1):
+        for u in iter_bits(mask):
+            colors[u] = c
+    return Coloring(tuple(colors))
 
 
 def _key_lemma(
-    g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, d: int, k: int, check: bool
-) -> dict[int, int]:
-    """key_lemma_coloring of g[s] and tau cut down to s, on dec's own rooted tree, as a
-    map from s to colors; s must induce a connected subgraph with at least two
-    vertices.  Only kept nodes are walked, the root among them unless it passes
-    through: a pass-through node colors nothing and is the origin of no edge.  Their
-    cuts' classes, merged bottom-up, give the diversity, outside classes and piece
-    twin quotients, and one colored member per class the colors on V_v."""
+    g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, d: int, k: int,
+    check: bool, answers: dict[tuple[int, ...], Coloring],
+) -> list[int]:
+    """key_lemma_coloring of g[s] and tau cut down to s, on dec's own rooted tree, as
+    color classes: masks[c - 1] holds the vertices colored c, none empty.  s must
+    induce a connected subgraph with at least two vertices.  Only kept nodes are
+    walked, the root among them unless it passes through: a pass-through node colors
+    nothing and is the origin of no edge.  Their cuts' classes, merged bottom-up, give
+    the diversity, outside classes and piece twin quotients.  answers maps a quotient's
+    rows to the oracle's verified coloring of it; k is checked on every use."""
     if d < 1:
         raise InputError("diversity budget d must be at least 1")
     if k < 1:
@@ -162,29 +173,28 @@ def _key_lemma(
     classes = {v: _ordered_classes(rows) for v, (rows, _) in cuts.items()}
     if check:
         # what _check_step reads that no step changes: per node, the ends of the edges
-        # with that origin and the vertices mapped to it; the edges in no nonzero class
+        # with that origin and the vertices mapped to it; per vertex u, its neighbors
+        # w > u that share no nonzero class with it
         together = dict.fromkeys(iter_bits(s), 0)  # u -> the vertices sharing such a class
         for parts in classes.values():
             for mask in parts[1:]:
                 for u in iter_bits(mask):
                     together[u] |= mask
-        ends, homes, unconfined = {}, {}, []
+        ends, homes, unconfined = {}, {}, {}
         for u in together:
             homes[dec.tau[u]] = homes.get(dec.tau[u], 0) | 1 << u
-            for w in iter_bits(g.adj[u] & s >> (u + 1) << (u + 1)):
+            later = g.adj[u] & s >> (u + 1) << (u + 1)
+            for w in iter_bits(later):
                 x = _climb_to(view, dec.tau[u], w)
                 ends[x] = ends.get(x, 0) | 1 << u | 1 << w
-                if not together[u] >> w & 1:
-                    unconfined.append((u, w))
+            unconfined[u] = later & ~together[u]
 
     palette_cap = d * (k + 1)
-    phi: dict[int, int] = {}
+    masks: list[int] = []
     colored_mask = 0
 
     for step, v in enumerate(walk, start=1):
-        # each class of v's cut carries at most one color yet (property 3), so at most d
-        used_on_vv = {phi[(part & -part).bit_length() - 1]
-                      for part in (mask & colored_mask for mask in classes[v]) if part}
+        used_on_vv = {c for c, mask in enumerate(masks, 1) if mask & pre[v]}
         if check and pre[v] & ~colored_mask != classes[v][0]:
             raise ContractError("uncolored subtree vertices differ from class zero")
 
@@ -192,51 +202,60 @@ def _key_lemma(
         if classes[v][0]:  # else every vertex of V_v is colored already
             members, quotient, w_mask = _piece_quotient(g, s, view, v, cuts)
         if w_mask:
-            qcol = oracle(quotient)
-            if not is_proper(quotient, qcol):
-                raise ContractError("piece oracle returned an improper coloring")
+            qcol = answers.get(quotient.adj)
+            if qcol is None:
+                qcol = oracle(quotient)
+                if len(qcol.colors) != quotient.n or not is_proper(quotient, qcol):
+                    raise ContractError("piece oracle returned an improper coloring")
+                answers[quotient.adj] = qcol
             if qcol.palette_size > k:
                 raise ContractError(f"piece oracle used {qcol.palette_size} colors, budget {k}")
-            # psi1 is the piece color, constant on twin classes
-            psi1 = {u: col for part, col in zip(members, qcol.colors)
-                    for u in iter_bits(part & w_mask)}
-            # psi2 is 1 at v itself, else the outside class in the child holding u
-            psi2 = dict.fromkeys(iter_bits(w_mask), 1)
+            # psi1[a - 1]: the piece vertices of color a, a union of twin classes
+            psi1 = [0] * qcol.palette_size
+            for part, a in zip(members, qcol.colors):
+                psi1[a - 1] |= part
+            # psi2[j - 1]: the vertices of w_mask in outside class j of the child holding
+            # them, of which a child's cut has at most d; class 1 also takes v's own
+            psi2 = [w_mask] + [0] * (d - 1)
             for c in kept[v]:
                 parts = classes[c]
                 if parts[0] & w_mask:
                     raise ContractError("piece-active vertex landed in class zero of a child")
+                psi2[0] &= ~pre[c]
                 for j in range(1, len(parts)):
-                    for u in iter_bits(parts[j] & w_mask):
-                        psi2[u] = j
-            pairs = sorted({(psi1[u], j) for u, j in psi2.items()})
+                    psi2[j - 1] |= parts[j] & w_mask
+            # one fresh class per pair (a, j) that meets, in the pairs' sorted order
+            fresh = [part for one in psi1 for two in psi2 if (part := one & two)]
             left = palette_cap - len(used_on_vv)
-            if len(pairs) > left:
-                raise ContractError(f"{len(pairs)} fresh color classes but only {left} colors left")
-            # pair i takes the i-th smallest color not on V_v
-            assignment = dict(zip(pairs, (c for c in count(1) if c not in used_on_vv)))
-            for u, j in psi2.items():
-                phi[u] = assignment[(psi1[u], j)]
+            if len(fresh) > left:
+                raise ContractError(f"{len(fresh)} fresh color classes but only {left} colors left")
+            # fresh class i takes the i-th smallest color not on V_v
+            for part, c in zip(fresh, (c for c in count(1) if c not in used_on_vv)):
+                if c > len(masks):  # the free colors past the palette come in order
+                    masks.append(0)
+                masks[c - 1] |= part
             colored_mask |= w_mask
 
         if check:
-            _check_step((ends, homes, unconfined), walk[:step], phi, classes)
+            _check_step((ends, homes, unconfined), walk[:step], masks, classes)
 
-    if len(phi) != s.bit_count():
+    if sum(map(int.bit_count, masks)) != s.bit_count():
         raise ContractError("construction left some vertex uncolored")
-    if max(phi.values()) > palette_cap:
+    if len(masks) > palette_cap:
         raise ContractError("palette exceeded d(k+1)")
-    return phi
+    return masks
 
 
-def _check_step(facts: tuple, processed: tuple, phi: dict[int, int], classes: dict) -> None:
+def _check_step(facts: tuple, processed: tuple, masks: list[int], classes: dict) -> None:
     """Debug-mode verification of the four inductive step properties.
 
     A node not kept, never walked, changes none of them: no vertex maps to it, no
     edge has it as origin, and its classes are empty or its kept child's.
     """
     ends, homes, unconfined = facts
-    colored = bitset(phi)
+    colored = 0
+    for mask in masks:
+        colored |= mask
     # property 2: vertices incident to edges with processed origin are colored,
     # as are all vertices mapped to processed nodes
     if any(ends.get(x, 0) & ~colored for x in processed):
@@ -245,15 +264,13 @@ def _check_step(facts: tuple, processed: tuple, phi: dict[int, int], classes: di
         raise ContractError("vertex mapped to processed node is uncolored")
     # property 3: classes of unprocessed subtrees are uniformly colored or untouched
     processed_set = set(processed)
-    for v, parts in classes.items():
-        if v not in processed_set:
-            for mask in parts:
-                if len({phi[u] for u in iter_bits(mask & colored)}) > 1:
-                    raise ContractError("class of an unprocessed subtree is multicolored")
+    shared = [seen for v, parts in classes.items() if v not in processed_set
+              for part in parts if (seen := part & colored) & (seen - 1)]
+    if any(0 < seen & mask < seen for seen in shared for mask in masks):
+        raise ContractError("class of an unprocessed subtree is multicolored")
     # property 4: a monochromatic edge lies inside some V_v^j with j >= 1
-    for u, w in unconfined:
-        if u in phi and w in phi and phi[u] == phi[w]:
-            raise ContractError("monochromatic edge not confined to a nonzero outside class")
+    if any(unconfined[u] & mask for mask in masks for u in iter_bits(mask)):
+        raise ContractError("monochromatic edge not confined to a nonzero outside class")
 
 
 def chi_bounded_coloring(
@@ -281,9 +298,8 @@ def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle
             f"decomposition rank {rank} exceeds budget {bound.rank_budget}"
         )
     omega = clique_number(g)
-    colors = [0] * g.n
-    _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, colors, omega)
-    result = Coloring(tuple(colors))
+    masks = _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, {}, omega)
+    result = _coloring_of(masks, g.n)
     if g.n:
         if not is_proper(g, result):
             raise ContractError("constructed coloring is not proper")
@@ -294,34 +310,31 @@ def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle
 
 def _color_recursive(
     g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, bound: ChiBoundFn,
-    check: bool, below: int, colors: list[int], omega_s: int | None = None,
-) -> None:
-    """Write into colors[u], for u in s, a coloring of the subgraph induced on s.
-    Its components share one palette; each one, whose clique number omega must be
-    less than below, is colored within color_bound(bound, omega): the key lemma
-    splits its maximum cliques, each color class recurses with below = omega and
-    takes the colors after those of the classes before it.  omega_s, when given,
-    is the clique number of s, so a component equal to s is not searched again."""
+    check: bool, below: int, answers: dict[tuple[int, ...], Coloring],
+    omega_s: int | None = None,
+) -> list[int]:
+    """The color classes, one bitset per color, of a coloring of the subgraph induced
+    on s.  Its components share one palette, merged color by color; each one, whose
+    clique number omega must be less than below, is colored within
+    color_bound(bound, omega): the key lemma splits its maximum cliques, and the
+    classes of each key-lemma class, recursing with below = omega, follow those of
+    the key-lemma classes before it.  answers is _key_lemma's, one per call.
+    omega_s, when given, is the clique number of s, so a component equal to s is not
+    searched again."""
+    masks: list[int] = []
     for comp in _components(g.adj, s):
-        if not comp & (comp - 1):  # a single vertex
-            colors[comp.bit_length() - 1] = 1
-            continue
-        omega = omega_s if comp == s and omega_s is not None else _max_clique_size(g.adj, comp)
-        if omega >= below:
-            raise ContractError("a color class kept the clique number")
-        # _key_lemma measures the diversity against the budget 2^r
-        phi = _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(omega), check)
-
-        class_masks: dict[int, int] = {}
-        for u, c in phi.items():
-            class_masks[c] = class_masks.get(c, 0) | 1 << u
-        offset = 0  # each class uses exactly 1..m and takes the m colors after offset
-        for c in sorted(class_masks):
-            _color_recursive(g, dec, class_masks[c], oracle, bound, check, omega, colors)
-            members = list(iter_bits(class_masks[c]))
-            for u in members:
-                colors[u] += offset
-            offset = max(colors[u] for u in members)
+        classes = [comp]  # a single vertex takes color 1
+        if comp & (comp - 1):
+            omega = omega_s if comp == s and omega_s is not None else _max_clique_size(g.adj, comp)
+            if omega >= below:
+                raise ContractError("a color class kept the clique number")
+            # _key_lemma measures the diversity against the budget 2^r
+            parts = _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(omega), check,
+                               answers)
+            classes = [c for part in parts
+                       for c in _color_recursive(g, dec, part, oracle, bound, check, omega, answers)]
+        masks = [a | b for a, b in zip_longest(masks, classes, fillvalue=0)]
+    return masks
 
 
 # --- 1-join trees -----------------------------------------------------------

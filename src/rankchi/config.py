@@ -16,7 +16,7 @@ from .errors import InputError, ResourceError
 class Limits:
     clique_n: int = 24
     chromatic_n: int = 20
-    rank_width_n: int = 9
+    rank_width_n: int = 14
     vertex_minor_n: int = 9
 
     @classmethod

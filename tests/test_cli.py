@@ -97,7 +97,8 @@ class TestRankwidth:
         assert "rankwidth=1" in capsys.readouterr().out
 
     def test_resource_limit_exit_3(self, tmp_path):
-        g = random_graph(random.Random(0), 12)
+        """A graph past the default rank-width ceiling of 14 vertices is refused."""
+        g = random_graph(random.Random(0), 15)
         path = write_graph(tmp_path, g)
         assert main(["rankwidth", path, "-o", str(tmp_path / "w.dec")]) == 3
 

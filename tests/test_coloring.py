@@ -182,7 +182,7 @@ class TestKeyLemma:
             return exact_node_oracle(h)
 
         for run in (lambda: key_lemma_coloring(g, d, oracle, 2, 3, check=True),
-                    lambda: coloring._key_lemma(g, d, g.vertex_mask, oracle, 2, 3, False)):
+                    lambda: coloring._key_lemma(g, d, g.vertex_mask, oracle, 2, 3, False, {})):
             with pytest.raises(ContractError, match="^decomposition diversity exceeds budget 2$"):
                 run()
         assert calls == []
@@ -204,6 +204,19 @@ class TestKeyLemma:
 
         with pytest.raises(ContractError):
             key_lemma_coloring(g, d, bad_oracle, 1, 3)
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["too_long", "too_short"])
+    def test_wrong_length_oracle_answer_is_a_contract_violation(self, extra):
+        """A piece coloring with more or fewer entries than the quotient has vertices
+        breaks the oracle's contract (exit 4), not the input's (exit 2)."""
+        g = complete(3)
+        d = Decomposition(2, ((0, 1),), (0, 0, 0), root=1)
+
+        def oracle(h):
+            return Coloring(tuple(range(1, h.n + 1 + extra)))
+
+        with pytest.raises(ContractError, match="^piece oracle returned an improper coloring$"):
+            key_lemma_coloring(g, d, oracle, 1, 3)
 
     def test_fuzz_with_property_checks(self):
         rng = random.Random(1)
@@ -271,6 +284,11 @@ def outcome(run):
         return type(exc), str(exc)
 
 
+def color_map(masks):
+    """The vertex -> color map of color classes masks, masks[c - 1] colored c."""
+    return {u: c for c, mask in enumerate(masks, 1) for u in iter_bits(mask)}
+
+
 class TestKeyLemmaOnVertexSets:
     def test_vertex_set_colors_as_its_restriction(self):
         """The key lemma on a connected vertex set s of g, over g's own decomposition,
@@ -296,8 +314,8 @@ class TestKeyLemmaOnVertexSets:
                         continue
                     budgets = rng.choice((1, 2, 64)), rng.choice((2, 64))
                     for check in (False, True):
-                        mine = outcome(lambda: coloring._key_lemma(
-                            g, d, mask, exact_node_oracle, *budgets, check))
+                        mine = outcome(lambda: color_map(coloring._key_lemma(
+                            g, d, mask, exact_node_oracle, *budgets, check, {})))
                         theirs = outcome(lambda: key_lemma_coloring(
                             h, sub, exact_node_oracle, *budgets, check))
                         if isinstance(theirs, Coloring):
@@ -331,9 +349,9 @@ class TestKeyLemmaOnVertexSets:
                 budgets = rng.choice((1, 2, 64)), rng.choice((2, 64))
                 for check in (False, True):
                     walked, fresh = (outcome(lambda: coloring._key_lemma(
-                        g, d, mask, exact_node_oracle, *budgets, check)) for d in (dec, hung))
+                        g, d, mask, exact_node_oracle, *budgets, check, {})) for d in (dec, hung))
                     assert walked == fresh
-                    if isinstance(walked, dict):
+                    if isinstance(walked, list):
                         colored += 1
                     else:
                         refused += 1
@@ -394,27 +412,32 @@ CLASS = "class of an unprocessed subtree is multicolored"
 MONO = "monochromatic edge not confined to a nonzero outside class"
 
 
-def corrupt(message, facts, processed, phi, classes):
-    """phi changed to break the property whose refusal reads message, or None."""
+def corrupt(message, facts, processed, masks, classes):
+    """A copy of the color classes masks changed to break the property whose refusal
+    reads message, or None."""
     ends, _, unconfined = facts
     if message == EDGE:
         for x in processed:
-            if ends.get(x):
-                del phi[(ends[x] & -ends[x]).bit_length() - 1]
-                return phi
+            if ends.get(x):  # uncolor the first end
+                low = ends[x] & -ends[x]
+                return [mask & ~low for mask in masks]
     if message == CLASS:
+        colored = 0
+        for mask in masks:
+            colored |= mask
         for v, parts in classes.items():
             if v in processed:
                 continue
-            for mask in parts:
-                members = [u for u in phi if mask >> u & 1]
-                if len(members) > 1:
-                    phi[members[0]] = max(phi.values()) + 1
-                    return phi
-    if message == MONO and len(processed) == len(classes) and unconfined:
-        u, w = unconfined[0]  # every class is processed, so property 3 cannot fire first
-        phi[w] = phi[u]
-        return phi
+            for part in parts:
+                members = part & colored
+                if members & (members - 1):  # its first colored member takes a new color
+                    low = members & -members
+                    return [mask & ~low for mask in masks] + [low]
+    if message == MONO and len(processed) == len(classes):
+        for u, later in unconfined.items():
+            if later:  # every class is processed, so property 3 cannot fire first
+                w = (later & -later).bit_length() - 1
+                return [mask & ~(1 << w) | (mask >> u & 1) << w for mask in masks]
     return None
 
 
@@ -427,9 +450,9 @@ class TestStepChecks:
         check_step = coloring._check_step
         refused = []
 
-        def corrupting(facts, processed, phi, classes):
-            check_step(facts, processed, phi, classes)
-            bad = corrupt(message, facts, processed, dict(phi), classes)
+        def corrupting(facts, processed, masks, classes):
+            check_step(facts, processed, masks, classes)
+            bad = corrupt(message, facts, processed, masks, classes)
             if bad is not None:
                 with pytest.raises(ContractError) as info:
                     check_step(facts, processed, bad, classes)
@@ -441,6 +464,81 @@ class TestStepChecks:
             g = random_connected_graph(rng, rng.randint(3, 10), rng.uniform(0.3, 0.7))
             key_lemma_coloring(g, random_decomposition(rng, g), exact_node_oracle, 64, 64, True)
         assert len(refused) > 10 and set(refused) == {message}
+
+
+class TestPieceOracleAnswers:
+    def test_each_distinct_quotient_is_asked_once_per_call(self, monkeypatch):
+        """On a seeded join tree the walk meets most twin quotients more than once,
+        but within one chi_bounded_coloring call the oracle is asked once per
+        distinct quotient; a second call asks for them all again, in the same order."""
+        monkeypatch.setattr(config, "limits", lambda: config.Limits(clique_n=100_000))
+        used, asked = [], []
+        piece_quotient = coloring._piece_quotient
+
+        def recording_quotient(*args):
+            members, quotient, w_mask = piece_quotient(*args)
+            if w_mask:  # the quotient is colored
+                used.append(quotient.adj)
+            return members, quotient, w_mask
+
+        def oracle(h):
+            asked.append(h.adj)
+            return exact_node_oracle(h)
+
+        monkeypatch.setattr(coloring, "_piece_quotient", recording_quotient)
+        g, dec, _ = one_join_compose(random_join_tree(random.Random(11), 40, extra=3))
+        bound = ChiBoundFn.constant(32, 1)
+        first = chi_bounded_coloring(g, dec, oracle, bound)
+        first_asked, first_used = asked[:], used[:]
+        assert len(first_asked) == len(set(first_asked)) == len(set(first_used))
+        assert set(first_asked) == set(first_used) and len(first_used) > 2 * len(first_asked)
+        asked.clear()
+        assert chi_bounded_coloring(g, dec, oracle, bound) == first
+        assert asked == first_asked
+
+    def test_a_kept_answer_is_refused_past_a_smaller_budget(self):
+        """The budget k changes from level to level, so a kept answer is checked
+        against k at every use: with the answers of a first pass at k = 64 kept, a
+        second pass at a k below the widest of them is refused without asking again."""
+        rng = random.Random(3)
+        g = random_connected_graph(rng, 12, 0.3)
+        dec = random_cubic_decomposition(rng, g)
+        asked = []
+
+        def oracle(h):  # proper and wasteful: one color per vertex
+            asked.append(h.adj)
+            return Coloring(tuple(range(1, h.n + 1)))
+
+        answers = {}
+        coloring._key_lemma(g, dec, g.vertex_mask, oracle, 64, 64, False, answers)
+        widest = max(c.palette_size for c in answers.values())
+        assert len(asked) == len(answers) and widest > 2
+        asked.clear()
+        with pytest.raises(ContractError,
+                           match=rf"^piece oracle used {widest} colors, budget {widest - 1}$"):
+            coloring._key_lemma(g, dec, g.vertex_mask, oracle, 64, widest - 1, False, answers)
+        assert asked == []
+
+    def test_an_improper_answer_is_refused_at_first_sight_and_not_kept(self):
+        """An improper answer is refused the first time its quotient is asked for,
+        and the answers keep nothing of it."""
+        asked = []
+
+        def bad_oracle(h):
+            asked.append(h.adj)
+            return Coloring((1,) * h.n)
+
+        g = complete(3)
+        answers = {}
+        with pytest.raises(ContractError, match="^piece oracle returned an improper coloring$"):
+            coloring._key_lemma(g, Decomposition(2, ((0, 1),), (0, 0, 0), root=1),
+                                g.vertex_mask, bad_oracle, 1, 3, False, answers)
+        assert len(asked) == 1 and answers == {}
+        g, dec, _ = one_join_compose(random_join_tree(random.Random(2), 6, extra=3, p=0.6))
+        asked.clear()
+        with pytest.raises(ContractError, match="^piece oracle returned an improper coloring$"):
+            chi_bounded_coloring(g, dec, bad_oracle, ChiBoundFn.constant(g.n, 1))
+        assert len(asked) == 1
 
 
 class TestChiBoundedColoring:
@@ -502,8 +600,7 @@ class TestChiBoundedColoring:
     def test_a_class_keeping_the_clique_number_is_refused(self, monkeypatch):
         """A key lemma that leaves a maximum clique in one color class is caught
         before that class recurses with the same clique number."""
-        monkeypatch.setattr(coloring, "_key_lemma",
-                            lambda g, dec, s, *rest: dict.fromkeys(iter_bits(s), 1))
+        monkeypatch.setattr(coloring, "_key_lemma", lambda g, dec, s, *rest: [s])
         g = complete(4)
         with pytest.raises(ContractError, match="^a color class kept the clique number$"):
             chi_bounded_coloring(g, star_decomposition(g), exact_node_oracle,

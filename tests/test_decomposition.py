@@ -443,7 +443,7 @@ class TestRootNormalize:
         for d in (star, path, root_normalize(path)):
             trees.clear()
             for s in (bitset(range(300, 303)), bitset(range(400, 406))):
-                coloring._key_lemma(g, d, s, exact_node_oracle, 64, 64, True)
+                coloring._key_lemma(g, d, s, exact_node_oracle, 64, 64, True, {})
                 assert list(trees[-1].parent) == naive_parents(restrict(g, d, s)[1])[0]
             assert len(trees) == 2 and all(tree is d._tree for tree in trees)
 
