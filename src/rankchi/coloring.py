@@ -3,11 +3,11 @@
 key_lemma_coloring builds, node by node over a rooted decomposition, a
 coloring with at most d(k+1) colors under which no maximum clique is
 monochromatic; a node costs its cut's classes, merged from those below it.
-chi_bounded_coloring turns that into a proper coloring by
-recursing on the clique number over the color classes, as vertex sets of the
-input graph on its own tree; both pass one bitset per color and ask the piece
-oracle once per distinct twin quotient in a call.  one_join_compose realizes
-the 1-join tree construction together with its rank-1 decomposition.
+chi_bounded_coloring turns that into a proper coloring by recursing on
+the color classes, each one clique number lower with no new search, as vertex
+sets of the input graph on its own tree; both pass one bitset per color and ask
+the piece oracle once per distinct twin quotient in a call.  one_join_compose
+realizes the 1-join tree construction together with its rank-1 decomposition.
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle
             f"decomposition rank {rank} exceeds budget {bound.rank_budget}"
         )
     omega = clique_number(g)
-    masks = _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, {}, omega)
+    masks = _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, {})
     result = _coloring_of(masks, g.n)
     if g.n:
         if not is_proper(g, result):
@@ -311,28 +311,28 @@ def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle
 def _color_recursive(
     g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, bound: ChiBoundFn,
     check: bool, below: int, answers: dict[tuple[int, ...], Coloring],
-    omega_s: int | None = None,
 ) -> list[int]:
     """The color classes, one bitset per color, of a coloring of the subgraph induced
-    on s.  Its components share one palette, merged color by color; each one, whose
-    clique number omega must be less than below, is colored within
-    color_bound(bound, omega): the key lemma splits its maximum cliques, and the
-    classes of each key-lemma class, recursing with below = omega, follow those of
-    the key-lemma classes before it.  answers is _key_lemma's, one per call.
-    omega_s, when given, is the clique number of s, so a component equal to s is not
-    searched again."""
+    on s, whose clique number must be less than below.  Its components share one
+    palette, merged color by color; each is colored within color_bound(bound, claim)
+    for claim = below - 1, with no clique search: the key lemma splits its maximum
+    cliques, so each of its classes has clique number below the claim and recurses
+    with below = claim, its classes after those of the classes before it.  A claim
+    above the true one only loosens k = f(claim), which picks no color.  A component
+    with an edge under a claim below 2, or with check=True one with a clique past its
+    claim, is refused.  answers is _key_lemma's, one per call."""
     masks: list[int] = []
+    claim = below - 1
     for comp in _components(g.adj, s):
         classes = [comp]  # a single vertex takes color 1
         if comp & (comp - 1):
-            omega = omega_s if comp == s and omega_s is not None else _max_clique_size(g.adj, comp)
-            if omega >= below:
+            if claim < 2 or check and _max_clique_size(g.adj, comp, claim) > claim:
                 raise ContractError("a color class kept the clique number")
             # _key_lemma measures the diversity against the budget 2^r
-            parts = _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(omega), check,
+            parts = _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(claim), check,
                                answers)
             classes = [c for part in parts
-                       for c in _color_recursive(g, dec, part, oracle, bound, check, omega, answers)]
+                       for c in _color_recursive(g, dec, part, oracle, bound, check, claim, answers)]
         masks = [a | b for a, b in zip_longest(masks, classes, fillvalue=0)]
     return masks
 

@@ -597,14 +597,38 @@ class TestChiBoundedColoring:
         with pytest.raises(ContractError):
             greedy_node_oracle(2)(complete(4))
 
-    def test_a_class_keeping_the_clique_number_is_refused(self, monkeypatch):
-        """A key lemma that leaves a maximum clique in one color class is caught
-        before that class recurses with the same clique number."""
-        monkeypatch.setattr(coloring, "_key_lemma", lambda g, dec, s, *rest: [s])
+    @pytest.mark.parametrize("check, calls", [(False, 3), (True, 1)])
+    def test_a_class_keeping_the_clique_number_is_refused(self, monkeypatch, check, calls):
+        """A key lemma that leaves a maximum clique in one color class is caught.  With
+        check off, the class's claimed clique number drops 4 -> 3 -> 2 unsearched and
+        the refusal comes at claim 1; with check=True the decision query refuses the
+        first class, before it reaches the key lemma."""
+        seen = []
+        monkeypatch.setattr(coloring, "_key_lemma", lambda g, dec, s, *rest: seen.append(s) or [s])
         g = complete(4)
         with pytest.raises(ContractError, match="^a color class kept the clique number$"):
             chi_bounded_coloring(g, star_decomposition(g), exact_node_oracle,
-                                 ChiBoundFn.constant(4, 1))
+                                 ChiBoundFn.constant(4, 1), check=check)
+        assert seen == [g.vertex_mask] * calls
+
+    def test_one_clique_search_per_coloring(self, monkeypatch):
+        """With check off and a piece oracle that searches no clique, a coloring runs
+        one clique search, on its input: every color class inherits its component's
+        clique number less one."""
+        g, dec, _ = one_join_compose(random_join_tree(random.Random(1), 40, extra=4, p=0.3))
+        monkeypatch.setattr(config, "limits", lambda: config.Limits(clique_n=g.n))
+        searched = []
+        search = oracles._max_clique_size
+
+        def recorded(adj, cand, best=0):
+            searched.append(cand)
+            return search(adj, cand, best)
+
+        for module in (oracles, coloring):
+            monkeypatch.setattr(module, "_max_clique_size", recorded)
+        col = chi_bounded_coloring(g, dec, greedy_node_oracle(g.n), ChiBoundFn.constant(g.n, 1))
+        assert is_proper(g, col)
+        assert searched == [g.vertex_mask]
 
     def test_clique_ceiling_checked_once_on_the_input(self, monkeypatch):
         """The clique-search ceiling applies to the input graph, once per call: every
