@@ -12,12 +12,12 @@ realizes the 1-join tree construction together with its rank-1 decomposition.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import count, islice, zip_longest
+from itertools import count, islice
 
 from .cuts import column_classes, nested_cut_rows
-from .decomposition import (Decomposition, RootedView, _climb_to, _ordered_classes, _subtree_view,
+from .decomposition import (Decomposition, RootedView, _ordered_classes, _subtree_view,
                             decomposition_rank)
 from .errors import ContractError, InputError
 from .graph import Graph, _components, bitset, connected_components, iter_bits, one_join
@@ -128,7 +128,8 @@ def key_lemma_coloring(
     so the palette is at most max(1, diversity)·(k+1), however loose d is.
     The walk runs top-down from d_input's root, or node 0 when unrooted; a root
     that carries vertices colors as an empty leaf hung above it would.
-    With check=True the four inductive properties are verified at each node.
+    With check=True the four inductive properties are verified at each walked node,
+    against only what its step changed.
     """
     if g.n < 2:
         raise InputError("key lemma needs a graph with at least two vertices")
@@ -165,35 +166,17 @@ def _key_lemma(
         raise InputError(f"decomposition maps {len(dec.tau)} vertices, graph has {g.n}")
     view = _subtree_view(dec._tree, dec.tau, s)
     pre, kept = view.pre, view.kept
-    walk = tuple(kept)
     # refused past d classes on a side before any vertex is colored
     cuts = {v: (rows, column_classes(rows, rest, d))
             for v, rest, rows in nested_cut_rows(g, s, pre, kept)}
     d = max(1, max((max(map(len, cut)) for cut in cuts.values() if all(cut)), default=0))
     classes = {v: _ordered_classes(rows) for v, (rows, _) in cuts.items()}
-    if check:
-        # what _check_step reads that no step changes: per node, the ends of the edges
-        # with that origin and the vertices mapped to it; per vertex u, its neighbors
-        # w > u that share no nonzero class with it
-        together = dict.fromkeys(iter_bits(s), 0)  # u -> the vertices sharing such a class
-        for parts in classes.values():
-            for mask in parts[1:]:
-                for u in iter_bits(mask):
-                    together[u] |= mask
-        ends, homes, unconfined = {}, {}, {}
-        for u in together:
-            homes[dec.tau[u]] = homes.get(dec.tau[u], 0) | 1 << u
-            later = g.adj[u] & s >> (u + 1) << (u + 1)
-            for w in iter_bits(later):
-                x = _climb_to(view, dec.tau[u], w)
-                ends[x] = ends.get(x, 0) | 1 << u | 1 << w
-            unconfined[u] = later & ~together[u]
 
     palette_cap = d * (k + 1)
     masks: list[int] = []
     colored_mask = 0
 
-    for step, v in enumerate(walk, start=1):
+    for v in kept:
         used_on_vv = {c for c, mask in enumerate(masks, 1) if mask & pre[v]}
         if check and pre[v] & ~colored_mask != classes[v][0]:
             raise ContractError("uncolored subtree vertices differ from class zero")
@@ -237,7 +220,7 @@ def _key_lemma(
             colored_mask |= w_mask
 
         if check:
-            _check_step((ends, homes, unconfined), walk[:step], masks, classes)
+            _check_step(g, view, v, cuts, masks, w_mask)
 
     if sum(map(int.bit_count, masks)) != s.bit_count():
         raise ContractError("construction left some vertex uncolored")
@@ -246,31 +229,46 @@ def _key_lemma(
     return masks
 
 
-def _check_step(facts: tuple, processed: tuple, masks: list[int], classes: dict) -> None:
-    """Debug-mode verification of the four inductive step properties.
-
-    A node not kept, never walked, changes none of them: no vertex maps to it, no
-    edge has it as origin, and its classes are empty or its kept child's.
-    """
-    ends, homes, unconfined = facts
+def _check_step(g: Graph, view: RootedView, v: int, cuts: dict, masks: list[int], new: int) -> None:
+    """Debug-mode verification of inductive properties 2-4 after the step at v, which
+    colored new.  Colors are only ever added, the steps above v were checked, and new
+    lies in V_v with no neighbor outside it, so only v, its kept children's classes
+    and the edges at new are read."""
+    pre, kept = view.pre, view.kept[v]
     colored = 0
     for mask in masks:
         colored |= mask
-    # property 2: vertices incident to edges with processed origin are colored,
-    # as are all vertices mapped to processed nodes
-    if any(ends.get(x, 0) & ~colored for x in processed):
+    # property 2: the ends of the edges with origin v are colored, as are the vertices
+    # mapped to v.  Below a kept child c an end has a neighbor in V_v - V_c, so its row
+    # of the cut at c meets V_v; a vertex mapped to v is an end with any neighbor in V_v
+    home, ends = pre[v], 0
+    for c in kept:
+        home &= ~pre[c]
+        for row, part in cuts[c][0].items():
+            if row & pre[v]:
+                ends |= part
+    ends |= bitset(u for u in iter_bits(home) if g.adj[u] & pre[v])
+    if ends & ~colored:
         raise ContractError("edge with processed origin has uncolored endpoint")
-    if any(homes.get(x, 0) & ~colored for x in processed):
+    if home & ~colored:
         raise ContractError("vertex mapped to processed node is uncolored")
-    # property 3: classes of unprocessed subtrees are uniformly colored or untouched
-    processed_set = set(processed)
-    shared = [seen for v, parts in classes.items() if v not in processed_set
-              for part in parts if (seen := part & colored) & (seen - 1)]
-    if any(0 < seen & mask < seen for seen in shared for mask in masks):
-        raise ContractError("class of an unprocessed subtree is multicolored")
-    # property 4: a monochromatic edge lies inside some V_v^j with j >= 1
-    if any(unconfined[u] & mask for mask in masks for u in iter_bits(mask)):
-        raise ContractError("monochromatic edge not confined to a nonzero outside class")
+    # property 3, for the kept children alone: a class of a node x below kept child c
+    # lies inside one class of c, since s - V_c is a subset of s - V_x, and no
+    # unprocessed node outside V_v's subtree meets V_v
+    confined = {}  # new vertex u -> the nonzero class of the kept child holding it
+    for c in kept:
+        for row, part in cuts[c][0].items():
+            seen = part & colored
+            if seen & (seen - 1) and any(0 < seen & mask < seen for mask in masks):
+                raise ContractError("class of an unprocessed subtree is multicolored")
+            if row:
+                confined.update(dict.fromkeys(iter_bits(part & new), part))
+    # property 4: an edge this step made monochromatic lies inside one nonzero class
+    # of the kept child holding it
+    for mask in masks:
+        for u in iter_bits(mask & new):
+            if g.adj[u] & mask & ~confined.get(u, 0):
+                raise ContractError("monochromatic edge not confined to a nonzero outside class")
 
 
 def chi_bounded_coloring(
@@ -316,25 +314,50 @@ def _color_recursive(
     on s, whose clique number must be less than below.  Its components share one
     palette, merged color by color; each is colored within color_bound(bound, claim)
     for claim = below - 1, with no clique search: the key lemma splits its maximum
-    cliques, so each of its classes has clique number below the claim and recurses
-    with below = claim, its classes after those of the classes before it.  A claim
+    cliques, so each of its classes has clique number below the claim and is colored
+    with below = claim, its classes after those of the classes before it; the classes
+    still to color wait on an explicit stack, not the call stack.  A claim
     above the true one only loosens k = f(claim), which picks no color.  A component
     with an edge under a claim below 2, or with check=True one with a clique past its
     claim, is refused.  answers is _key_lemma's, one per call."""
     masks: list[int] = []
-    claim = below - 1
-    for comp in _components(g.adj, s):
-        classes = [comp]  # a single vertex takes color 1
-        if comp & (comp - 1):
-            if claim < 2 or check and _max_clique_size(g.adj, comp, claim) > claim:
-                raise ContractError("a color class kept the clique number")
-            # _key_lemma measures the diversity against the budget 2^r
-            parts = _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(claim), check,
-                               answers)
-            classes = [c for part in parts
-                       for c in _color_recursive(g, dec, part, oracle, bound, check, claim, answers)]
-        masks = [a | b for a, b in zip_longest(masks, classes, fillvalue=0)]
-    return masks
+    # The set being colored paints its classes into masks from index at: each of its
+    # components from at, a component's key-lemma parts one after another from cursor,
+    # so the set ends at end, its components' furthest cursor.  The sets being colored
+    # above it wait on an explicit stack, so a large omega cannot exhaust the call stack.
+    stack: list[tuple[int, Iterator[int], Iterator[int], int, int]] = []
+    claim, comps, parts, at, cursor, end = below - 1, iter(_components(g.adj, s)), iter(()), 0, 0, 0
+    while True:
+        part = next(parts, None)
+        if part is None:  # the component is colored: on to the next one
+            if cursor > end:
+                end = cursor
+            comp = next(comps, None)
+            if comp is None:  # the set is colored: back to the set above it
+                if not stack:
+                    return masks
+                cursor = end
+                claim, comps, parts, at, end = stack.pop()
+                continue
+            cursor = at
+            if comp & (comp - 1):
+                if claim < 2 or check and _max_clique_size(g.adj, comp, claim) > claim:
+                    raise ContractError("a color class kept the clique number")
+                # _key_lemma measures the diversity against the budget 2^r
+                parts = iter(_key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(claim),
+                                        check, answers))
+                continue
+            part = comp
+        elif part & (part - 1):  # colored from cursor with claim - 1, its siblings waiting
+            stack.append((claim, comps, parts, at, end))
+            claim, comps, parts = claim - 1, iter(_components(g.adj, part)), iter(())
+            at = end = cursor
+            continue
+        # a single vertex, a component or a part, takes the color at cursor
+        if cursor == len(masks):
+            masks.append(0)
+        masks[cursor] |= part
+        cursor += 1
 
 
 # --- 1-join trees -----------------------------------------------------------

@@ -216,15 +216,11 @@ def rooted_parents(d: Decomposition) -> tuple[list[int], list[int]]:
 
 def origin(d: Decomposition, u: int, w: int) -> int:
     """Nearest common ancestor of tau(u) and tau(w) in the rooted tree: the
-    lowest node above tau(u) whose subtree preimage contains w."""
+    lowest node at or above tau(u) whose subtree preimage contains w."""
     view = _rooted_view(d)
     if not (0 <= u < len(d.tau) and 0 <= w < len(d.tau)):
         raise InputError(f"vertex pair ({u},{w}) out of range")
-    return _climb_to(view, d.tau[u], w)
-
-
-def _climb_to(view: RootedView, x: int, w: int) -> int:
-    """The lowest node at or above x whose subtree preimage in view contains w."""
+    x = d.tau[u]
     while not view.pre[x] >> w & 1:
         x = view.parent[x]
     return x

@@ -147,27 +147,33 @@ def greedy_coloring(g: Graph) -> Coloring:
 
 
 def _try_k_coloring(g: Graph, k: int) -> list[int] | None:
+    """A proper coloring of g in colors 1..k, or None, by backtracking over the vertices
+    by decreasing degree, each trying the colors that fit up to one past the highest
+    before it.  The search path is positions 0..i of order, not the call stack."""
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
     colors = [0] * g.n
-
-    def rec(i: int, used: int) -> bool:
-        if i == g.n:
-            return True
+    # per position i: the colors on its vertex's neighbors (bit 0 stands for no color),
+    # and at i + 1 the highest color up to i
+    forbidden, used = [0] * g.n, [0] * (g.n + 1)
+    i = 0
+    while 0 <= i < g.n:
         v = order[i]
-        forbidden = 0
-        for u in iter_bits(g.adj[v]):
-            if colors[u]:
-                forbidden |= 1 << colors[u]
-        for c in range(1, min(k, used + 1) + 1):
-            if forbidden >> c & 1:
-                continue
-            colors[v] = c
-            if rec(i + 1, max(used, c)):
-                return True
+        if not colors[v]:  # a new position, not one backtracked to
+            seen = 0
+            for u in iter_bits(g.adj[v]):
+                seen |= 1 << colors[u]
+            forbidden[i] = seen
+        c, top = colors[v] + 1, min(k, used[i] + 1)
+        while c <= top and forbidden[i] >> c & 1:
+            c += 1
+        if c > top:
             colors[v] = 0
-        return False
-
-    return colors if rec(0, 0) else None
+            i -= 1
+        else:
+            colors[v] = c
+            used[i + 1] = max(used[i], c)
+            i += 1
+    return colors if i == g.n else None
 
 
 def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]:

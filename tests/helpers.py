@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from rankchi import Coloring, Decomposition, Graph, iter_bits
+from rankchi import Coloring, ContractError, Decomposition, Graph, iter_bits
 
 
 def naive_gf2_rank(matrix: list[list[int]]) -> int:
@@ -297,3 +297,54 @@ def naive_origin(d, u: int, w: int) -> int:
     while a != b:
         a, b = parent[a], parent[b]
     return a
+
+
+# --- key-lemma step oracle ----------------------------------------------------
+
+
+def full_step_check(g: Graph, dec, view, processed, masks: list[int]) -> None:
+    """Properties 2-4 of the key lemma's induction over the whole coloring masks,
+    after the steps at the kept nodes processed of view, the key lemma's view of s
+    on dec's tree: every processed node, every class of every unprocessed kept node
+    and every monochromatic edge are read, with the facts they need built here from
+    g, tau and the view alone.  Raises ContractError with the step check's messages.
+    """
+    pre = view.pre
+    s = pre[view.root]
+    classes = {}  # kept node -> its cut's row classes in g[s], class zero first
+    for x in view.kept:
+        groups: dict[int, int] = {}
+        for u in iter_bits(pre[x]):
+            row = g.adj[u] & s & ~pre[x]
+            groups[row] = groups.get(row, 0) | 1 << u
+        classes[x] = [groups.pop(0, 0), *groups.values()]
+    together = dict.fromkeys(iter_bits(s), 0)  # u -> the vertices sharing a nonzero class
+    for parts in classes.values():
+        for part in parts[1:]:
+            for u in iter_bits(part):
+                together[u] |= part
+    ends: dict[int, int] = {}  # node -> the ends of the edges with that origin
+    homes: dict[int, int] = {}  # node -> the vertices mapped to it
+    unconfined = {}  # u -> its neighbors w > u in s sharing no nonzero class with it
+    for u in together:
+        homes[dec.tau[u]] = homes.get(dec.tau[u], 0) | 1 << u
+        later = g.adj[u] & s >> (u + 1) << (u + 1)
+        for w in iter_bits(later):
+            x = dec.tau[u]
+            while not pre[x] >> w & 1:
+                x = view.parent[x]
+            ends[x] = ends.get(x, 0) | 1 << u | 1 << w
+        unconfined[u] = later & ~together[u]
+    colored = 0
+    for mask in masks:
+        colored |= mask
+    if any(ends.get(x, 0) & ~colored for x in processed):
+        raise ContractError("edge with processed origin has uncolored endpoint")
+    if any(homes.get(x, 0) & ~colored for x in processed):
+        raise ContractError("vertex mapped to processed node is uncolored")
+    shared = [seen for x, parts in classes.items() if x not in processed
+              for part in parts if (seen := part & colored) & (seen - 1)]
+    if any(0 < seen & mask < seen for seen in shared for mask in masks):
+        raise ContractError("class of an unprocessed subtree is multicolored")
+    if any(unconfined[u] & mask for mask in masks for u in iter_bits(mask)):
+        raise ContractError("monochromatic edge not confined to a nonzero outside class")

@@ -131,6 +131,28 @@ class TestColor:
         coloring = coloring_from_text((tmp_path / "out.col").read_text(), 5)
         assert coloring.palette_size <= 16
 
+    def test_long_odd_cycle_colors_through_the_module_entry_point(self, tmp_path):
+        """C_1201 on its star decomposition, with both ceilings raised: the one piece
+        is the whole cycle, whose 2-coloring search fails only at the last of 1,201
+        vertices.  The search keeps them on an explicit stack, so the command colors
+        with 3 colors instead of ending in a RecursionError traceback."""
+        from rankchi import star_decomposition
+        from rankchi.io import decomposition_to_text
+
+        g = cycle(1201)
+        gpath = write_graph(tmp_path, g)
+        (tmp_path / "star.dec").write_text(decomposition_to_text(star_decomposition(g)))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src, RANKCHI_CLIQUE_LIMIT="5000",
+                   RANKCHI_CHROMATIC_LIMIT="5000")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankchi.cli", "color", gpath, str(tmp_path / "star.dec"),
+             "--f", "const:3", "--r", "1", "-o", str(tmp_path / "out.col")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "palette=3" in proc.stdout.splitlines()
+
     def test_k33_star_decomposition(self, tmp_path, capsys):
         g = Graph.from_edges(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
         gpath = write_graph(tmp_path, g)

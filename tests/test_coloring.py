@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +52,7 @@ from rankchi import coloring, config, decomposition, graph, oracles
 from rankchi.cuts import cut_classes
 from rankchi.decomposition import restrict
 
-from helpers import naive_kept_nodes, random_vertex_subset
+from helpers import full_step_check, naive_kept_nodes, random_vertex_subset
 
 
 def path_join_tree(pieces):
@@ -408,62 +411,130 @@ class TestKeyLemmaOnVertexSets:
 
 
 EDGE = "edge with processed origin has uncolored endpoint"
+HOME = "vertex mapped to processed node is uncolored"
 CLASS = "class of an unprocessed subtree is multicolored"
 MONO = "monochromatic edge not confined to a nonzero outside class"
 
 
-def corrupt(message, facts, processed, masks, classes):
-    """A copy of the color classes masks changed to break the property whose refusal
-    reads message, or None."""
-    ends, _, unconfined = facts
-    if message == EDGE:
-        for x in processed:
-            if ends.get(x):  # uncolor the first end
-                low = ends[x] & -ends[x]
-                return [mask & ~low for mask in masks]
-    if message == CLASS:
-        colored = 0
-        for mask in masks:
-            colored |= mask
-        for v, parts in classes.items():
-            if v in processed:
-                continue
-            for part in parts:
-                members = part & colored
-                if members & (members - 1):  # its first colored member takes a new color
-                    low = members & -members
-                    return [mask & ~low for mask in masks] + [low]
-    if message == MONO and len(processed) == len(classes):
-        for u, later in unconfined.items():
-            if later:  # every class is processed, so property 3 cannot fire first
-                w = (later & -later).bit_length() - 1
-                return [mask & ~(1 << w) | (mask >> u & 1) << w for mask in masks]
+def moved(masks, u, to):
+    """A copy of the color classes masks with u taken out of its class and put in
+    masks[to], in a class of its own past the others if to is len(masks), or in none
+    if to is None."""
+    bit = 1 << u
+    out = [mask & ~bit for mask in masks] + [0]
+    if to is not None:
+        out[to] |= bit
+    return out if out[-1] else out[:-1]
+
+
+def corrupt(message, g, view, v, cuts, masks, new):
+    """A copy of masks after the step at v with one vertex that step colored moved so
+    that the property whose refusal reads message breaks, or None."""
+    colored = 0
+    for mask in masks:
+        colored |= mask
+    if message == EDGE:  # every vertex the step colors is an end of an edge with origin v
+        return moved(masks, (new & -new).bit_length() - 1, None) if new else None
+    held = {}  # new vertex -> the class of the kept child of v holding it
+    for c in view.kept[v]:
+        for part in cuts[c][0].values():
+            held.update(dict.fromkeys(iter_bits(part & new), part))
+    for u in iter_bits(new):
+        others = held.get(u, 0) & colored & ~(1 << u)
+        if message == CLASS and others:  # u leaves its class's color for a fresh one
+            return moved(masks, u, len(masks))
+        if message == MONO and not others:  # so property 3 stays, whatever u's color
+            for w in iter_bits(g.adj[u] & colored & ~held.get(u, 0)):
+                (to,) = (i for i, mask in enumerate(masks) if mask >> w & 1)
+                return moved(masks, u, to)
+    return None
+
+
+def step_checks(monkeypatch, seed, cases, each_step):
+    """Color cases seeded random graphs on random and cubic decompositions with
+    check=True, calling each_step(g, dec, args) after each step passes its check,
+    where args are the check's own arguments."""
+    check_step = coloring._check_step
+    current = []
+
+    def after(*args):
+        check_step(*args)
+        each_step(*current, args)
+
+    monkeypatch.setattr(coloring, "_check_step", after)
+    rng = random.Random(seed)
+    for i in range(cases):
+        g = random_connected_graph(rng, rng.randint(3, 14), rng.uniform(0.2, 0.7))
+        dec = (random_decomposition if i % 2 else random_cubic_decomposition)(rng, g)
+        current[:] = g, dec
+        key_lemma_coloring(g, dec, exact_node_oracle, 64, 64, True)
+
+
+def refusal(check, *args):
+    """The message of the ContractError check(*args) raises, or None."""
+    try:
+        check(*args)
+    except ContractError as error:
+        return str(error)
     return None
 
 
 class TestStepChecks:
     @pytest.mark.parametrize("message", [EDGE, CLASS, MONO], ids=["edge", "class", "mono"])
     def test_each_property_refuses_a_corrupted_coloring(self, monkeypatch, message):
-        """The facts _check_step reads are computed once per key-lemma call and stay
-        live: after each real step passes, a copy of the coloring broken in one
-        property is refused with that property's message."""
+        """After each real step passes, a copy of the coloring in which one vertex the
+        step colored is moved to break one property is refused with that property's
+        message."""
         check_step = coloring._check_step
         refused = []
 
-        def corrupting(facts, processed, masks, classes):
-            check_step(facts, processed, masks, classes)
-            bad = corrupt(message, facts, processed, masks, classes)
+        def each_step(g, dec, args):
+            bad = corrupt(message, *args)
             if bad is not None:
-                with pytest.raises(ContractError) as info:
-                    check_step(facts, processed, bad, classes)
-                refused.append(str(info.value))
+                refused.append(refusal(check_step, *args[:4], bad, args[5]))
 
-        monkeypatch.setattr(coloring, "_check_step", corrupting)
-        rng = random.Random(6)
-        for _ in range(30):
-            g = random_connected_graph(rng, rng.randint(3, 10), rng.uniform(0.3, 0.7))
-            key_lemma_coloring(g, random_decomposition(rng, g), exact_node_oracle, 64, 64, True)
+        step_checks(monkeypatch, 6, 30, each_step)
         assert len(refused) > 10 and set(refused) == {message}
+
+    def test_an_uncolored_vertex_mapped_to_the_walked_node_is_refused(self, monkeypatch):
+        """Every vertex a step colors is an end of an edge with origin v, so only a
+        vertex colored above it reaches the fourth message: one mapped to v with all
+        its neighbors outside V_v, uncolored again after the step at v."""
+        check_step = coloring._check_step
+        refused = []
+
+        def each_step(g, dec, args):
+            _, view, v, _, masks, new = args
+            pre = view.pre
+            lone = [u for u in iter_bits(pre[v]) if dec.tau[u] == v and not g.adj[u] & pre[v]]
+            if lone:
+                refused.append(refusal(check_step, *args[:4], moved(masks, lone[0], None), new))
+
+        step_checks(monkeypatch, 6, 30, each_step)
+        assert len(refused) > 5 and set(refused) == {HOME}
+
+    def test_refuses_what_the_full_check_refuses(self, monkeypatch):
+        """Each step's check reads only what the step changed, yet on every
+        single-vertex change of the vertices it colored (uncolored, moved to each
+        other color, or to a fresh one) it refuses exactly when the full check over
+        the whole coloring does, with the same message."""
+        check_step = coloring._check_step
+        seen = Counter()
+
+        def each_step(g, dec, args):
+            _, view, v, _, masks, new = args
+            walk = list(view.kept)
+            processed = walk[:walk.index(v) + 1]
+            assert refusal(full_step_check, g, dec, view, processed, masks) is None
+            for u in iter_bits(new):
+                for to in [None, *range(len(masks) + 1)]:
+                    bad = moved(masks, u, to)
+                    expected = refusal(full_step_check, g, dec, view, processed, bad)
+                    assert refusal(check_step, *args[:4], bad, new) == expected
+                    seen[expected] += 1
+
+        step_checks(monkeypatch, 8, 40, each_step)
+        assert set(seen) == {None, EDGE, CLASS, MONO} and min(seen.values()) > 20
 
 
 class TestPieceOracleAnswers:
@@ -629,6 +700,26 @@ class TestChiBoundedColoring:
         col = chi_bounded_coloring(g, dec, greedy_node_oracle(g.n), ChiBoundFn.constant(g.n, 1))
         assert is_proper(g, col)
         assert searched == [g.vertex_mask]
+
+    def test_recursion_deeper_than_the_call_stack(self):
+        """A chain of 80 triangles composes to K_82, whose coloring recurses through
+        82 clique numbers.  The color classes wait on an explicit stack, so it colors
+        with 82 colors with room for 150 nested calls; run in a subprocess, so this
+        process's recursion limit is left alone."""
+        script = (
+            "import sys\n"
+            "from rankchi import (ChiBoundFn, JoinEdge, JoinTree, chi_bounded_coloring, complete,\n"
+            "                     exact_node_oracle, one_join_compose)\n"
+            "jt = JoinTree((complete(3),) * 80, tuple(JoinEdge(i, i + 1, 1, 0) for i in range(79)))\n"
+            "g, dec, _ = one_join_compose(jt)\n"
+            "sys.setrecursionlimit(150)\n"
+            "print(chi_bounded_coloring(g, dec, exact_node_oracle, ChiBoundFn.constant(3, 1)).palette_size)\n"
+        )
+        src = str(Path(coloring.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, RANKCHI_CLIQUE_LIMIT="82")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "82\n", "")
 
     def test_clique_ceiling_checked_once_on_the_input(self, monkeypatch):
         """The clique-search ceiling applies to the input graph, once per call: every

@@ -29,6 +29,7 @@ from rankchi import (
     no_max_clique_monochromatic,
     wheel,
 )
+from rankchi import config
 from rankchi.config import LIMITS
 from rankchi.generate import random_graph
 
@@ -117,6 +118,15 @@ class TestChromaticNumber:
     def test_complete(self):
         for n in range(1, 7):
             assert chromatic_number(complete(n))[0] == n
+
+    # On an odd cycle in vertex order the search fixes one color per vertex and
+    # backtracks only from the last: a recursion once per vertex would raise
+    # RecursionError with room for 100 nested calls.
+    def test_chromatic_number_deeper_than_the_call_stack(self, monkeypatch):
+        monkeypatch.setattr(config, "limits", lambda: config.Limits(clique_n=1201))
+        with call_depth_room(100):
+            chi, witness = chromatic_number(cycle(1201), limit=1201)
+        assert chi == 3 and is_proper(cycle(1201), witness)
 
     def test_petersen(self):
         chi, witness = chromatic_number(petersen())
