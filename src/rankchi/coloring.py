@@ -5,22 +5,22 @@ coloring with at most d(k+1) colors under which no maximum clique is
 monochromatic; a node costs its cut's classes, merged from those below it.
 chi_bounded_coloring turns that into a proper coloring by recursing on
 the color classes, each one clique number lower with no new search, as vertex
-sets of the input graph on its own tree; both pass one bitset per color and ask
-the piece oracle once per distinct twin quotient in a call.  one_join_compose
-realizes the 1-join tree construction together with its rank-1 decomposition.
+sets of the input graph on its own tree, a recursive generator run on _unwind, not
+the call stack.  Both pass one bitset per color and ask the piece oracle once per
+distinct twin quotient in a call.  one_join_compose realizes the 1-join tree
+construction together with its rank-1 decomposition.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, zip_longest
 
 from .cuts import column_classes, nested_cut_rows
-from .decomposition import (Decomposition, RootedView, _ordered_classes, _subtree_view,
-                            decomposition_rank)
+from .decomposition import Decomposition, RootedView, _subtree_view, decomposition_rank
 from .errors import ContractError, InputError
-from .graph import Graph, _components, bitset, connected_components, iter_bits, one_join
+from .graph import Graph, _components, _unwind, bitset, connected_components, iter_bits, one_join
 from .oracles import (Coloring, _max_clique_size, chromatic_number, clique_number,
                       greedy_coloring, is_proper)
 
@@ -170,7 +170,6 @@ def _key_lemma(
     cuts = {v: (rows, column_classes(rows, rest, d))
             for v, rest, rows in nested_cut_rows(g, s, pre, kept)}
     d = max(1, max((max(map(len, cut)) for cut in cuts.values() if all(cut)), default=0))
-    classes = {v: _ordered_classes(rows) for v, (rows, _) in cuts.items()}
 
     palette_cap = d * (k + 1)
     masks: list[int] = []
@@ -178,11 +177,12 @@ def _key_lemma(
 
     for v in kept:
         used_on_vv = {c for c, mask in enumerate(masks, 1) if mask & pre[v]}
-        if check and pre[v] & ~colored_mask != classes[v][0]:
+        zero = cuts[v][0].get(0, 0)  # class zero: no neighbor outside V_v
+        if check and pre[v] & ~colored_mask != zero:
             raise ContractError("uncolored subtree vertices differ from class zero")
 
         w_mask = 0
-        if classes[v][0]:  # else every vertex of V_v is colored already
+        if zero:  # else every vertex of V_v is colored already
             members, quotient, w_mask = _piece_quotient(g, s, view, v, cuts)
         if w_mask:
             qcol = answers.get(quotient.adj)
@@ -197,16 +197,17 @@ def _key_lemma(
             psi1 = [0] * qcol.palette_size
             for part, a in zip(members, qcol.colors):
                 psi1[a - 1] |= part
-            # psi2[j - 1]: the vertices of w_mask in outside class j of the child holding
-            # them, of which a child's cut has at most d; class 1 also takes v's own
+            # psi2[j - 1]: the vertices of w_mask in outside class j, the j-th nonzero
+            # row in order, of the child holding them, of which a child's cut has at
+            # most d; class 1 also takes v's own
             psi2 = [w_mask] + [0] * (d - 1)
             for c in kept[v]:
-                parts = classes[c]
-                if parts[0] & w_mask:
+                rows = cuts[c][0]
+                if rows.get(0, 0) & w_mask:
                     raise ContractError("piece-active vertex landed in class zero of a child")
                 psi2[0] &= ~pre[c]
-                for j in range(1, len(parts)):
-                    psi2[j - 1] |= parts[j] & w_mask
+                for j, row in enumerate(sorted(filter(None, rows)), 1):
+                    psi2[j - 1] |= rows[row] & w_mask
             # one fresh class per pair (a, j) that meets, in the pairs' sorted order
             fresh = [part for one in psi1 for two in psi2 if (part := one & two)]
             left = palette_cap - len(used_on_vv)
@@ -311,53 +312,35 @@ def _color_recursive(
     check: bool, below: int, answers: dict[tuple[int, ...], Coloring],
 ) -> list[int]:
     """The color classes, one bitset per color, of a coloring of the subgraph induced
-    on s, whose clique number must be less than below.  Its components share one
-    palette, merged color by color; each is colored within color_bound(bound, claim)
-    for claim = below - 1, with no clique search: the key lemma splits its maximum
-    cliques, so each of its classes has clique number below the claim and is colored
-    with below = claim, its classes after those of the classes before it; the classes
-    still to color wait on an explicit stack, not the call stack.  A claim
-    above the true one only loosens k = f(claim), which picks no color.  A component
-    with an edge under a claim below 2, or with check=True one with a clique past its
-    claim, is refused.  answers is _key_lemma's, one per call."""
-    masks: list[int] = []
-    # The set being colored paints its classes into masks from index at: each of its
-    # components from at, a component's key-lemma parts one after another from cursor,
-    # so the set ends at end, its components' furthest cursor.  The sets being colored
-    # above it wait on an explicit stack, so a large omega cannot exhaust the call stack.
-    stack: list[tuple[int, Iterator[int], Iterator[int], int, int]] = []
-    claim, comps, parts, at, cursor, end = below - 1, iter(_components(g.adj, s)), iter(()), 0, 0, 0
-    while True:
-        part = next(parts, None)
-        if part is None:  # the component is colored: on to the next one
-            if cursor > end:
-                end = cursor
-            comp = next(comps, None)
-            if comp is None:  # the set is colored: back to the set above it
-                if not stack:
-                    return masks
-                cursor = end
-                claim, comps, parts, at, end = stack.pop()
-                continue
-            cursor = at
+    on s, whose clique number must be less than below.  color(s, claim), from claim =
+    below - 1, colors each component of s within color_bound(bound, claim), with no
+    clique search.  A single vertex takes the first color.  The key lemma splits every
+    maximum clique of any other component, so each of its classes has clique number
+    below the claim and is colored by color(part, claim - 1), its colors after those of
+    the classes before it.  The components share one palette, merged color by color.
+    A claim above the true one only loosens k = f(claim), which picks no color.  A
+    component with an edge under a claim below 2, or with check=True one with a clique
+    past its claim, is refused.  Each call is yielded to _unwind, so the recursion, one
+    level per clique number, is not bounded by the call stack.  answers is _key_lemma's,
+    one per call."""
+
+    def color(s: int, claim: int) -> Generator:
+        masks: list[int] = []
+        for comp in _components(g.adj, s):
             if comp & (comp - 1):
                 if claim < 2 or check and _max_clique_size(g.adj, comp, claim) > claim:
                     raise ContractError("a color class kept the clique number")
+                line: list[int] = []  # the component's classes, its parts' end to end
                 # _key_lemma measures the diversity against the budget 2^r
-                parts = iter(_key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(claim),
-                                        check, answers))
-                continue
-            part = comp
-        elif part & (part - 1):  # colored from cursor with claim - 1, its siblings waiting
-            stack.append((claim, comps, parts, at, end))
-            claim, comps, parts = claim - 1, iter(_components(g.adj, part)), iter(())
-            at = end = cursor
-            continue
-        # a single vertex, a component or a part, takes the color at cursor
-        if cursor == len(masks):
-            masks.append(0)
-        masks[cursor] |= part
-        cursor += 1
+                for part in _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(claim),
+                                       check, answers):
+                    line += (yield color(part, claim - 1)) if part & (part - 1) else [part]
+            else:
+                line = [comp]
+            masks = [a | b for a, b in zip_longest(masks, line, fillvalue=0)]
+        return masks
+
+    return _unwind(color(s, below - 1))
 
 
 # --- 1-join trees -----------------------------------------------------------

@@ -176,6 +176,8 @@ def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
 
 
 def decomposition_rank(g: Graph, d: Decomposition) -> int:
+    if len(d.tau) < g.n:  # a vertex past g is refused where its cut is read
+        raise InputError(f"decomposition maps {len(d.tau)} vertices, graph has {g.n}")
     view = d.view
     cuts = nested_cut_rows(g, g.vertex_mask, view.pre, view.kept)
     return max((gf2_rank(rows) for _, _, rows in cuts), default=0)
@@ -183,6 +185,8 @@ def decomposition_rank(g: Graph, d: Decomposition) -> int:
 
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
     """Max over tree edges of the cut's max(#distinct rows, #distinct columns)."""
+    if len(d.tau) < g.n:  # a vertex past g is refused where its cut is read
+        raise InputError(f"decomposition maps {len(d.tau)} vertices, graph has {g.n}")
     view = d.view
     return max((cut_diversity_of(g, view.pre[v]) for v in view.kept), default=0)
 
@@ -240,11 +244,7 @@ def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
     view = _rooted_view(d)
     if v == d.root:
         raise InputError("outside partition is undefined at the root")
-    return _ordered_classes(cut_classes(g, view.pre[v])[0])
-
-
-def _ordered_classes(rows: dict[int, int]) -> list[int]:
-    """The row classes of a cut as outside classes: zero first, then by row."""
+    rows = cut_classes(g, view.pre[v])[0]
     return [rows.get(0, 0)] + [rows[row] for row in sorted(rows) if row]
 
 

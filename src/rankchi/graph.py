@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Any, Generator, Iterable, Iterator
 
 from .errors import InputError
 
@@ -28,6 +28,24 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _unwind(top: Generator) -> Any:
+    """Run a recursion written as generators, with a list in place of the call stack:
+    each generator yields the generator of every call it makes and is sent back that
+    call's return value.  Returns what top returns."""
+    stack, value = [top], None
+    while True:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ so it can verify the guarantees of the latter at desk scale.
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
 
 from .config import check_ceiling
 from .errors import InputError
-from .graph import Graph, bitset, induced_subgraph, iter_bits, local_complement
+from .graph import Graph, _unwind, bitset, induced_subgraph, iter_bits, local_complement
 
 
 @dataclass(frozen=True)
@@ -29,39 +30,27 @@ class Coloring:
 
 
 def maximum_cliques(g: Graph, limit: int | None = None) -> list[int]:
-    """All vertex bitsets inducing cliques of size omega(g) (Bron-Kerbosch)."""
+    """All vertex bitsets inducing cliques of size omega(g), in the order found by
+    Bron-Kerbosch with pivoting: expand(r, p, x) extends the clique r by candidates p,
+    x holding those tried, and branches on the candidates outside the neighborhood of
+    a pivot with most neighbors in p.  Its calls run on _unwind, not the call stack."""
     check_ceiling("clique enumeration", g.n, limit, "clique_n")
-    if g.n == 0:
-        return []
-    best_size = 0
-    best: list[int] = []
-    # Bron-Kerbosch with pivoting on an explicit stack, so a large omega cannot
-    # exhaust the call stack.  Each frame is [r, p, x, branch vertices still
-    # to try, or -1 before the pivot is chosen].
-    stack = [[0, g.vertex_mask, 0, -1]]
-    while stack:
-        frame = stack[-1]
-        r, p, x, todo = frame
-        if todo < 0:
-            if not p and not x:
-                stack.pop()
-                s = r.bit_count()
-                if s > best_size:
-                    best_size = s
-                    best = [r]
-                elif s == best_size:
-                    best.append(r)
-                continue
-            pivot = max(iter_bits(p | x), key=lambda u: (g.adj[u] & p).bit_count())
-            todo = p & ~g.adj[pivot]
-        if not todo:
-            stack.pop()
-            continue
-        low = todo & -todo
-        v = low.bit_length() - 1
-        frame[1:] = p & ~low, x | low, todo ^ low
-        stack.append([r | low, p & g.adj[v], x & g.adj[v], -1])
-    return best
+    maximal: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> Generator:
+        if not p | x:
+            maximal.append(r)
+            return
+        pivot = max(iter_bits(p | x), key=lambda u: (g.adj[u] & p).bit_count())
+        for v in iter_bits(p & ~g.adj[pivot]):
+            yield expand(r | 1 << v, p & g.adj[v], x & g.adj[v])
+            p ^= 1 << v
+            x |= 1 << v
+
+    if g.n:
+        _unwind(expand(0, g.vertex_mask, 0))
+    omega = max(map(int.bit_count, maximal), default=0)
+    return [r for r in maximal if r.bit_count() == omega]
 
 
 def _max_clique_size(adj: tuple[int, ...], cand: int, best: int = 0) -> int:
@@ -88,8 +77,8 @@ def _max_clique_size(adj: tuple[int, ...], cand: int, best: int = 0) -> int:
                 order.append((v, color))
         return order
 
-    # The branch being searched is (size, cand, order); the branches above it
-    # wait on an explicit stack, so a large omega cannot exhaust the call stack.
+    # The branch being searched is (size, cand, order); the branches above it wait on
+    # a positional stack, not the call stack, nor _unwind's slower generators: a hot path.
     stack: list[tuple[int, int, list[tuple[int, int]]]] = []
     size, order = 0, color_order(cand)
     while True:
@@ -149,7 +138,8 @@ def greedy_coloring(g: Graph) -> Coloring:
 def _try_k_coloring(g: Graph, k: int) -> list[int] | None:
     """A proper coloring of g in colors 1..k, or None, by backtracking over the vertices
     by decreasing degree, each trying the colors that fit up to one past the highest
-    before it.  The search path is positions 0..i of order, not the call stack."""
+    before it.  The search path is positions 0..i of order, not the call stack, nor
+    _unwind's slower generators: a hot path."""
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
     colors = [0] * g.n
     # per position i: the colors on its vertex's neighbors (bit 0 stands for no color),
@@ -183,7 +173,7 @@ def chromatic_number(g: Graph, limit: int | None = None) -> tuple[int, Coloring]
     backtracking search with symmetry breaking on the color indices.
     """
     check_ceiling("chromatic number", g.n, limit, "chromatic_n")
-    lb = clique_number(g)
+    lb = _max_clique_size(g.adj, g.vertex_mask)
     ub_coloring = greedy_coloring(g)
     ub = ub_coloring.palette_size
     for k in range(lb, ub):

@@ -118,6 +118,18 @@ def naive_clique_number(g: Graph) -> int:
     return best
 
 
+def naive_maximum_cliques(g: Graph) -> set[int]:
+    """The vertex bitsets of every clique of size omega(g), by trying every vertex
+    subset of each size from n down."""
+    for size in range(g.n, 0, -1):
+        found = {sum(1 << v for v in combo)
+                 for combo in itertools.combinations(range(g.n), size)
+                 if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2))}
+        if found:
+            return found
+    return set()
+
+
 def reference_greedy_coloring(g: Graph) -> Coloring:
     """DSATUR recomputing every saturation at every step: the uncolored vertex of
     largest (saturation, degree), the first one on ties, takes the smallest free color."""

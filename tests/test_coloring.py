@@ -620,6 +620,12 @@ class TestChiBoundedColoring:
         )
         assert set(col.colors) == {1}
 
+    def test_short_tau_refused(self):
+        """A decomposition that leaves a vertex unmapped is refused before any coloring."""
+        with pytest.raises(InputError, match="^decomposition maps 1 vertices, graph has 3$"):
+            chi_bounded_coloring(Graph(3, (0,) * 3), Decomposition(1, (), (0,)),
+                                 exact_node_oracle, ChiBoundFn.constant(1, 1))
+
     def test_cycle5_with_optimal_witness(self):
         g = cycle(5)
         width, witness = exact_rank_width(g)

@@ -116,6 +116,15 @@ class TestRankDiversity:
         assert decomposition_rank(g, d) == 0
         assert decomposition_diversity(g, d) == 0
 
+    def test_short_tau_refused(self):
+        """A tau that leaves a vertex of the graph unmapped is refused with InputError,
+        by rank and diversity alike."""
+        g = Graph.from_edges(3, [(0, 1)])
+        d = Decomposition(2, ((0, 1),), (0, 1))
+        for measure in (decomposition_rank, decomposition_diversity):
+            with pytest.raises(InputError, match="^decomposition maps 2 vertices, graph has 3$"):
+                measure(g, d)
+
     def test_side_past_the_graph_refused(self):
         """A vertex id past the graph on a cut's side is refused with InputError,
         whether the side's rows are merged (rank) or read whole (diversity)."""

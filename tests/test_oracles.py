@@ -38,6 +38,7 @@ from helpers import (
     naive_chromatic_number,
     naive_clique_number,
     naive_is_proper,
+    naive_maximum_cliques,
     petersen,
     reference_greedy_coloring,
 )
@@ -83,6 +84,14 @@ class TestCliques:
             g = random_graph(rng, rng.randint(9, 22), rng.uniform(0.1, 0.9))
             assert clique_number(g) == maximum_cliques(g)[0].bit_count()
 
+    def test_maximum_cliques_are_the_omega_cliques(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+            cliques = maximum_cliques(g)
+            assert len(set(cliques)) == len(cliques)
+            assert set(cliques) == naive_maximum_cliques(g)
+
     def test_cocktail_party(self):
         for k in range(1, 21):
             assert clique_number(cocktail_party(k), limit=40) == k
@@ -122,11 +131,18 @@ class TestChromaticNumber:
     # On an odd cycle in vertex order the search fixes one color per vertex and
     # backtracks only from the last: a recursion once per vertex would raise
     # RecursionError with room for 100 nested calls.
-    def test_chromatic_number_deeper_than_the_call_stack(self, monkeypatch):
-        monkeypatch.setattr(config, "limits", lambda: config.Limits(clique_n=1201))
+    def test_chromatic_number_deeper_than_the_call_stack(self):
         with call_depth_room(100):
             chi, witness = chromatic_number(cycle(1201), limit=1201)
         assert chi == 3 and is_proper(cycle(1201), witness)
+
+    def test_guarded_by_its_own_ceiling_alone(self, monkeypatch):
+        """A chromatic ceiling raised past the clique ceiling (24) is the only one
+        that applies, whether passed as limit= or set as RANKCHI_CHROMATIC_LIMIT."""
+        assert chromatic_number(cycle(27), limit=40)[0] == 3
+        monkeypatch.setenv("RANKCHI_CHROMATIC_LIMIT", "40")
+        monkeypatch.setattr(config, "limits", config.Limits.from_env)
+        assert chromatic_number(cycle(27))[0] == 3
 
     def test_petersen(self):
         chi, witness = chromatic_number(petersen())
