@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import count, islice, zip_longest
 
 from .cuts import column_classes, nested_cut_rows
-from .decomposition import Decomposition, RootedView, _subtree_view, decomposition_rank
+from .decomposition import Decomposition, RootedView, _view, decomposition_rank
 from .errors import ContractError, InputError
 from .graph import Graph, _components, _unwind, bitset, connected_components, iter_bits, one_join
 from .oracles import (Coloring, _max_clique_size, chromatic_number, clique_number,
@@ -91,16 +91,14 @@ def _piece_quotient(
     and the vertices of class zero of V_v with a piece edge or mapped to v.  The piece
     rows are read off cuts[x], the classes of the cut at x in g[s]: an outside vertex
     keeps its column of the cut at v, a vertex below a kept child c its row of the cut
-    at c, and a vertex mapped to v all its neighbors in s.  Row zero holds the isolated
-    ones."""
+    at c, and a vertex of view.own[v] all its neighbors in s.  Row zero holds the
+    isolated ones."""
     rows, cols = cuts[v]
-    home = view.pre[v]  # ends as tau^-1(v)
     groups = dict(cols)  # piece row -> the vertices with that row
     for c in view.kept[v]:
-        home &= ~view.pre[c]
         for row, part in cuts[c][0].items():
             groups[row] = groups.get(row, 0) | part
-    for u in iter_bits(home):
+    for u in iter_bits(view.own[v]):
         row = g.adj[u] & s
         groups[row] = groups.get(row, 0) | 1 << u
     isolated = groups.get(0, 0)
@@ -108,7 +106,7 @@ def _piece_quotient(
     index = {(part & -part).bit_length() - 1: i for i, (_, part) in enumerate(ordered)}
     reps = bitset(index)
     qadj = tuple(bitset(index[u] for u in iter_bits(row & reps)) for row, _ in ordered)
-    w_mask = rows.get(0, 0) & (home | ~isolated)
+    w_mask = rows.get(0, 0) & (view.own[v] | ~isolated)
     return [part for _, part in ordered], Graph._trusted(len(qadj), qadj), w_mask
 
 
@@ -162,13 +160,11 @@ def _key_lemma(
         raise InputError("diversity budget d must be at least 1")
     if k < 1:
         raise InputError("piece color budget k must be at least 1")
-    if len(dec.tau) != g.n:
-        raise InputError(f"decomposition maps {len(dec.tau)} vertices, graph has {g.n}")
-    view = _subtree_view(dec._tree, dec.tau, s)
+    view = _view(g, dec, s)
     pre, kept = view.pre, view.kept
     # refused past d classes on a side before any vertex is colored
     cuts = {v: (rows, column_classes(rows, rest, d))
-            for v, rest, rows in nested_cut_rows(g, s, pre, kept)}
+            for v, rest, rows in nested_cut_rows(g, s, view)}
     d = max(1, max((max(map(len, cut)) for cut in cuts.values() if all(cut)), default=0))
 
     palette_cap = d * (k + 1)
@@ -200,12 +196,11 @@ def _key_lemma(
             # psi2[j - 1]: the vertices of w_mask in outside class j, the j-th nonzero
             # row in order, of the child holding them, of which a child's cut has at
             # most d; class 1 also takes v's own
-            psi2 = [w_mask] + [0] * (d - 1)
+            psi2 = [w_mask & view.own[v]] + [0] * (d - 1)
             for c in kept[v]:
                 rows = cuts[c][0]
                 if rows.get(0, 0) & w_mask:
                     raise ContractError("piece-active vertex landed in class zero of a child")
-                psi2[0] &= ~pre[c]
                 for j, row in enumerate(sorted(filter(None, rows)), 1):
                     psi2[j - 1] |= rows[row] & w_mask
             # one fresh class per pair (a, j) that meets, in the pairs' sorted order
@@ -242,9 +237,8 @@ def _check_step(g: Graph, view: RootedView, v: int, cuts: dict, masks: list[int]
     # property 2: the ends of the edges with origin v are colored, as are the vertices
     # mapped to v.  Below a kept child c an end has a neighbor in V_v - V_c, so its row
     # of the cut at c meets V_v; a vertex mapped to v is an end with any neighbor in V_v
-    home, ends = pre[v], 0
+    home, ends = view.own[v], 0
     for c in kept:
-        home &= ~pre[c]
         for row, part in cuts[c][0].items():
             if row & pre[v]:
                 ends |= part

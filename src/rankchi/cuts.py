@@ -1,17 +1,21 @@
 """Cuts of vertex bipartitions: row/column classes, GF(2) rank and diversity.
 
-cut_classes groups a cut's rows and columns in one read of the adjacency.  Along
-the nested cuts of a rooted decomposition, nested_cut_rows merges each cut's rows
-from the cuts just below it and column_classes refines the other side by them, so
-a cut costs its classes, not its side."""
+A single cut's rank and diversity are read straight off the adjacency.  Along the
+nested cuts of a rooted decomposition's view, nested_cut_rows merges each cut's row
+classes from the cuts just below it and column_classes refines the other side by
+them, so a cut costs its classes, not its side."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ContractError, InputError
 from .graph import Graph, iter_bits
+
+if TYPE_CHECKING:
+    from .decomposition import RootedView
 
 
 @dataclass(frozen=True)
@@ -94,61 +98,38 @@ def cut_rank_of(g: Graph, w: int) -> int:
     return gf2_rank(rows)
 
 
-def cut_classes(g: Graph, w: int) -> tuple[dict[int, int], dict[int, int]]:
-    """rows maps each distinct row adj[u] & rest of the cut (w, rest) to the u in w
-    having it, cols each distinct column adj[x] & w to the x in rest having it.
-    Only the vertices reached from w are grouped; the rest is the zero column."""
+def cut_diversity_of(g: Graph, w: int) -> int:
+    """max(#distinct rows, #distinct columns) of the cut (w, rest); 0 if a side is empty."""
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
     rest = g.vertex_mask & ~w
-    rows: dict[int, int] = {}
-    reached = 0
-    for u in iter_bits(w):
-        row = g.adj[u] & rest
-        rows[row] = rows.get(row, 0) | 1 << u
-        reached |= row
-    cols: dict[int, int] = {}
-    for x in iter_bits(reached):
-        col = g.adj[x] & w
-        cols[col] = cols.get(col, 0) | 1 << x
-    if rest & ~reached:
-        cols[0] = rest & ~reached
-    return rows, cols
-
-
-def cut_diversity_of(g: Graph, w: int) -> int:
-    """max(#distinct rows, #distinct columns) of the cut (w, rest); 0 if a side is empty."""
-    rows, cols = cut_classes(g, w)
+    rows = {g.adj[u] & rest for u in iter_bits(w)}
+    cols = {g.adj[x] & w for x in iter_bits(rest)}
     return max(len(rows), len(cols)) if rows and cols else 0
 
 
-def nested_cut_rows(
-    g: Graph, s: int, sides: tuple[int, ...], below: dict[int, tuple[int, ...]]
-) -> Iterator[tuple[int, int, dict[int, int]]]:
-    """For each node v of below, last first: v, rest = s - sides[v] and the rows of
-    the cut (sides[v], rest) of g[s] as cut_classes groups them.  The rows of the later nodes
-    below[v], on disjoint parts of sides[v], are cut down to rest, and only the other
-    vertices of sides[v] are read."""
+def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """For each kept node v of the view of s, last first: v, rest = s - pre[v] and the
+    rows of the cut (pre[v], rest) of g[s], each distinct row mapped to the vertices
+    having it.  The rows of kept[v], on disjoint parts of pre[v], are cut down to rest,
+    and only own[v] is read."""
     rows_of: dict[int, dict[int, int]] = {}
-    for v in reversed(below):
-        home, rest = sides[v], s & ~sides[v]
+    for v in reversed(view.kept):
+        rest = s & ~view.pre[v]
         rows = rows_of[v] = {}
-        for c in below[v]:
-            home &= ~sides[c]
+        for c in view.kept[v]:
             for row, part in rows_of.pop(c).items():
                 rows[row & rest] = rows.get(row & rest, 0) | part
-        if home & ~g.vertex_mask:
-            raise InputError("cut side contains vertices outside the graph")
-        for u in iter_bits(home):
+        for u in iter_bits(view.own[v]):
             row = g.adj[u] & rest
             rows[row] = rows.get(row, 0) | 1 << u
         yield v, rest, rows
 
 
 def column_classes(rows: dict[int, int], rest: int, limit: int) -> dict[int, int]:
-    """cut_classes' cols of the cut with these rows and other side rest: rest refined
-    by each row, an atom keyed by the union of the parts whose rows hold it.  Raises
-    ContractError once either side has more than limit classes."""
+    """The columns of the cut with these rows and other side rest, grouped as
+    nested_cut_rows groups rows: rest refined by each row, an atom keyed by the union of
+    the parts whose rows hold it.  Raises ContractError past limit classes on a side."""
     cols = {0: rest} if rest else {}
     for row, part in rows.items():
         split: dict[int, int] = {}

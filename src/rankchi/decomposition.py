@@ -5,13 +5,13 @@ from graph vertices to tree nodes.  Every tree edge induces a cut of the
 graph; the rank/diversity of the decomposition is the maximum over its edges.
 
 All cuts, pieces, outside classes and origins are read off one rooted view
-(Decomposition.view), built by a single breadth-first pass from the root, or
-node 0 when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the
-vertices mapped into the subtree at v, so diversity takes one pass over the
-nodes and a piece graph one bitset mask per vertex; rank merges the rows of the
-view's kept nodes, bottom-up (cuts.nested_cut_rows).  The coloring
-recursion reads views of vertex sets s of the graph (_subtree_view) on that same
-rooted tree, whatever s is.
+(Decomposition.view), built by a single breadth-first pass from the root, or node 0
+when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the vertices
+mapped into the subtree at v, so diversity takes one pass over the nodes and a piece
+graph one bitset mask per vertex; rank merges the rows of the view's kept nodes,
+bottom-up (cuts.nested_cut_rows).  The coloring recursion reads views of vertex sets
+s of the graph (_subtree_view) on that same rooted tree, whatever s is.  Every reader
+of a graph and a decomposition starts at _view, the one check of tau against g.
 Rank-decompositions and exact rank-width, by a dynamic programme over vertex
 subsets, live here too.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .config import check_ceiling
-from .cuts import cut_classes, cut_diversity_of, cut_rank_of, gf2_rank, nested_cut_rows
+from .cuts import cut_diversity_of, cut_rank_of, gf2_rank, nested_cut_rows
 from .errors import ContractError, InputError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
 
@@ -31,11 +31,11 @@ from .graph import Graph, induced_subgraph, iter_bits
 class RootedView:
     """The tree in BFS order from root over ascending adj; parent[root] is -1.
 
-    pre[x] is the bitset of vertices mapped into the subtree at x.  kept maps, in BFS
-    order, the nodes with nonempty pre but the pass-through nodes (no vertex of their
-    own, one such child, whose cut they repeat) to the kept nodes nearest below; the
-    root is kept like any other node, its cut the degenerate (pre[root], empty).
-    Both are empty in a tree-only view, which the views of vertex sets extend."""
+    pre[x] is the bitset of vertices mapped into the subtree at x, own[x] those mapped
+    to x.  kept maps, in BFS order, the nodes with nonempty pre but the pass-through
+    nodes (no own vertex, one such child, whose cut they repeat) to the kept nodes
+    nearest below, whose pre with own[x] make up pre[x]; the root is kept too, its cut
+    the degenerate (pre[root], empty).  All three are empty in a tree-only view."""
 
     root: int
     adj: tuple[tuple[int, ...], ...]
@@ -44,6 +44,7 @@ class RootedView:
     children: tuple[tuple[int, ...], ...]
     position: tuple[int, ...]  # position[x] is the index of x in BFS order
     pre: tuple[int, ...] = ()
+    own: tuple[int, ...] = ()
     kept: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
@@ -117,7 +118,7 @@ class Decomposition:
 
     @cached_property
     def view(self) -> RootedView:
-        """The rooted tree with pre and kept for this tau, built on first use."""
+        """The rooted tree with pre, own and kept for all of tau, built on first use."""
         return _subtree_view(self._tree, self.tau, (1 << len(self.tau)) - 1)
 
     def node_adjacency(self) -> list[list[int]]:
@@ -125,11 +126,12 @@ class Decomposition:
 
 
 def _subtree_view(tree: RootedView, tau: tuple[int, ...], s: int) -> RootedView:
-    """tree with pre and kept for the vertices of the bitset s alone."""
+    """tree with pre, own and kept for the vertices of the bitset s alone."""
     pre = [0] * len(tree.parent)
     members = list(iter_bits(s))
     for v in members:
         pre[tau[v]] |= 1 << v
+    own = tuple(pre)
     occupied = frontier = {tau[v] for v in members}
     while frontier:  # climb, one level at a time, to the ancestors of tau's images
         frontier = {tree.parent[x] for x in frontier} - occupied - {-1}
@@ -144,7 +146,7 @@ def _subtree_view(tree: RootedView, tau: tuple[int, ...], s: int) -> RootedView:
         if x != tree.root:
             below[tree.parent[x]] += nodes
             pre[tree.parent[x]] |= pre[x]
-    return replace(tree, pre=tuple(pre), kept=dict(reversed(kept.items())))
+    return replace(tree, pre=tuple(pre), own=own, kept=dict(reversed(kept.items())))
 
 
 @dataclass(frozen=True)
@@ -155,16 +157,24 @@ class RankDecomposition:
     width: int
 
 
-def _rooted_view(d: Decomposition) -> RootedView:
+def _view(g: Graph, d: Decomposition, s: int) -> RootedView:
+    """The view of the vertex set s of g, d's own when s is all of g; raises InputError
+    unless tau maps exactly the vertices of g."""
+    if len(d.tau) != g.n:
+        raise InputError(f"decomposition maps {len(d.tau)} vertices, graph has {g.n}")
+    return d.view if s == g.vertex_mask else _subtree_view(d._tree, d.tau, s)
+
+
+def _rooted(d: Decomposition) -> Decomposition:
     if d.root is None:
         raise StateError("decomposition is not rooted")
-    return d.view
+    return d
 
 
 def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
     """Vertex bitsets of the two sides induced by tree edge e (a-side first)."""
     a, b = e
-    view = d.view
+    view = _view(g, d, g.vertex_mask)
     if 0 <= a < d.num_nodes and 0 <= b < d.num_nodes:
         if view.parent[b] == a:
             side_b = view.pre[b]
@@ -176,18 +186,13 @@ def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
 
 
 def decomposition_rank(g: Graph, d: Decomposition) -> int:
-    if len(d.tau) < g.n:  # a vertex past g is refused where its cut is read
-        raise InputError(f"decomposition maps {len(d.tau)} vertices, graph has {g.n}")
-    view = d.view
-    cuts = nested_cut_rows(g, g.vertex_mask, view.pre, view.kept)
+    cuts = nested_cut_rows(g, g.vertex_mask, _view(g, d, g.vertex_mask))
     return max((gf2_rank(rows) for _, _, rows in cuts), default=0)
 
 
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
     """Max over tree edges of the cut's max(#distinct rows, #distinct columns)."""
-    if len(d.tau) < g.n:  # a vertex past g is refused where its cut is read
-        raise InputError(f"decomposition maps {len(d.tau)} vertices, graph has {g.n}")
-    view = d.view
+    view = _view(g, d, g.vertex_mask)
     return max((cut_diversity_of(g, view.pre[v]) for v in view.kept), default=0)
 
 
@@ -198,9 +203,9 @@ def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
     everything outside the subtree at v.  A reference for tests and callers:
     the key lemma reads the piece's twin quotient off the view instead.
     """
+    view = _view(g, d, g.vertex_mask)
     if not 0 <= v < d.num_nodes:
         raise InputError(f"node {v} out of range")
-    view = d.view
     inside = view.pre[v]
     adj = list(g.adj)
     for u in iter_bits(g.vertex_mask & ~inside):
@@ -214,14 +219,14 @@ def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
 
 def rooted_parents(d: Decomposition) -> tuple[list[int], list[int]]:
     """Parent and depth arrays of the rooted tree; requires a root."""
-    view = _rooted_view(d)
-    return list(view.parent), list(view.depth)
+    tree = _rooted(d)._tree
+    return list(tree.parent), list(tree.depth)
 
 
 def origin(d: Decomposition, u: int, w: int) -> int:
     """Nearest common ancestor of tau(u) and tau(w) in the rooted tree: the
     lowest node at or above tau(u) whose subtree preimage contains w."""
-    view = _rooted_view(d)
+    view = _rooted(d).view
     if not (0 <= u < len(d.tau) and 0 <= w < len(d.tau)):
         raise InputError(f"vertex pair ({u},{w}) out of range")
     x = d.tau[u]
@@ -232,7 +237,7 @@ def origin(d: Decomposition, u: int, w: int) -> int:
 
 def subtree_preimages(g: Graph, d: Decomposition) -> list[int]:
     """For each node v, the bitset of vertices mapped into the subtree at v."""
-    return list(_rooted_view(d).pre)
+    return list(_view(g, _rooted(d), g.vertex_mask).pre)
 
 
 def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
@@ -241,15 +246,21 @@ def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
     Index 0 is the class with no outside neighbors (possibly empty); the
     remaining classes are ordered by their outside-neighborhood bitsets.
     """
-    view = _rooted_view(d)
+    view = _view(g, _rooted(d), g.vertex_mask)
+    if not 0 <= v < d.num_nodes:
+        raise InputError(f"node {v} out of range")
     if v == d.root:
         raise InputError("outside partition is undefined at the root")
-    rows = cut_classes(g, view.pre[v])[0]
-    return [rows.get(0, 0)] + [rows[row] for row in sorted(rows) if row]
+    inside, rows = view.pre[v], {}
+    for u in iter_bits(inside):
+        row = g.adj[u] & ~inside
+        rows[row] = rows.get(row, 0) | 1 << u
+    return [rows.pop(0, 0)] + [rows[row] for row in sorted(rows)]
 
 
 def restrict(g: Graph, d: Decomposition, s: int) -> tuple[Graph, Decomposition, dict[int, int]]:
     """Induced subgraph on s with tau restricted; tree and root unchanged."""
+    _view(g, d, g.vertex_mask)  # for its check of tau against g
     h, remap = induced_subgraph(g, s)
     return h, replace(d, tau=tuple(d.tau[u] for u in remap)), remap
 

@@ -214,6 +214,24 @@ def naive_cut_diversity(g: Graph, side: int) -> int:
     return max(len({tuple(row) for row in matrix}), len({tuple(col) for col in zip(*matrix)}))
 
 
+def naive_cut_classes(g: Graph, side: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The 0/1 matrix of the cut (side, rest) grouped one entry at a time: each distinct
+    row, as the bitset of its 1 columns, mapped to the vertices of side having it, and
+    each distinct column, as the bitset of its 1 rows, to the vertices of rest having it."""
+    w_side = [v for v in range(g.n) if side >> v & 1]
+    other = [v for v in range(g.n) if not side >> v & 1]
+    matrix = matrix_of_cut(g, w_side)
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    for u, row in zip(w_side, matrix):
+        key = sum(1 << x for x, bit in zip(other, row) if bit)
+        rows[key] = rows.get(key, 0) | 1 << u
+    for j, x in enumerate(other):
+        key = sum(1 << u for u, row in zip(w_side, matrix) if row[j])
+        cols[key] = cols.get(key, 0) | 1 << x
+    return rows, cols
+
+
 def naive_piece_edges(g: Graph, d, v: int) -> set[tuple[int, int]]:
     """Edges (u, w), u < w, not inside one component of T - v, by DFS per component."""
     adj = tree_adjacency(d)

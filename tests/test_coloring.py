@@ -49,10 +49,9 @@ from rankchi.generate import (
     random_join_tree,
 )
 from rankchi import coloring, config, decomposition, graph, oracles
-from rankchi.cuts import cut_classes
 from rankchi.decomposition import restrict
 
-from helpers import full_step_check, naive_kept_nodes, random_vertex_subset
+from helpers import full_step_check, naive_cut_classes, naive_kept_nodes, random_vertex_subset
 
 
 def path_join_tree(pieces):
@@ -176,7 +175,7 @@ class TestKeyLemma:
         g = Graph.from_edges(5, edges)
         d = Decomposition(3, ((0, 1), (1, 2)), tuple(2 if below >> u & 1 else 1 for u in range(5)),
                           root=0)
-        assert [len(side) for side in cut_classes(g, below)] == shape
+        assert [len(side) for side in naive_cut_classes(g, below)] == shape
         calls = []
         monkeypatch.setattr(coloring, "_check_step", lambda *args: calls.append("check"))
 

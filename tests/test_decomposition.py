@@ -34,7 +34,7 @@ from rankchi import (
 )
 from rankchi import coloring, decomposition
 from rankchi.coloring import _piece_quotient, one_join_compose
-from rankchi.cuts import column_classes, cut_classes, cut_rank_of, gf2_rank, nested_cut_rows
+from rankchi.cuts import column_classes, cut_rank_of, gf2_rank, nested_cut_rows
 from rankchi.decomposition import _subtree_view, rooted_parents, subtree_preimages
 from rankchi.generate import (
     random_cubic_decomposition,
@@ -46,6 +46,7 @@ from rankchi.graph import iter_bits
 
 from helpers import (
     matrix_of_cut,
+    naive_cut_classes,
     naive_cut_diversity,
     naive_edge_cut,
     naive_gf2_rank,
@@ -79,6 +80,38 @@ class TestStructure:
             Decomposition(2, ((0, 1),), (0, 1), root=1)
         with pytest.raises(InputError):
             Decomposition(3, ((0, 1), (1, 2)), (0, 2), root=1)
+
+
+def three_node_path():
+    """P_3 and the tree 0-1-2 rooted at the empty leaf 0; tau_for(n) maps n vertices
+    alternately to nodes 1 and 2."""
+    return Graph.from_edges(3, [(0, 1), (1, 2)]), lambda n: Decomposition(
+        3, ((0, 1), (1, 2)), tuple(1 + v % 2 for v in range(n)), root=0)
+
+
+TAU_READERS = {
+    "edge_cut": lambda g, d: edge_cut(g, d, (0, 1)),
+    "decomposition_rank": decomposition_rank,
+    "decomposition_diversity": decomposition_diversity,
+    "piece_graph": lambda g, d: piece_graph(g, d, 1),
+    "subtree_preimages": subtree_preimages,
+    "outside_partition": lambda g, d: outside_partition(g, d, 1),
+    "restrict": lambda g, d: restrict(g, d, 0b011),
+    "key_lemma": lambda g, d: coloring._key_lemma(
+        g, d, g.vertex_mask, exact_node_oracle, 4, 4, False, {}),
+}
+
+
+class TestTauContract:
+    @pytest.mark.parametrize("n", [2, 4], ids=["short", "long"])
+    @pytest.mark.parametrize("reader", list(TAU_READERS))
+    def test_wrong_length_tau_refused_by_every_reader(self, reader, n):
+        """A tau one vertex short of the graph or one vertex past it is refused by every
+        reader of the graph against the decomposition, with one message."""
+        g, tau_for = three_node_path()
+        TAU_READERS[reader](g, tau_for(3))  # the right length is read
+        with pytest.raises(InputError, match=f"^decomposition maps {n} vertices, graph has 3$"):
+            TAU_READERS[reader](g, tau_for(n))
 
 
 class TestEdgeCut:
@@ -126,12 +159,13 @@ class TestRankDiversity:
                 measure(g, d)
 
     def test_side_past_the_graph_refused(self):
-        """A vertex id past the graph on a cut's side is refused with InputError,
-        whether the side's rows are merged (rank) or read whole (diversity)."""
+        """A tau that maps a vertex id past the graph, which would put it on a cut's
+        side, is refused with InputError by rank and diversity alike, with the message
+        of a short tau."""
         g = path_graph(3)
         d = Decomposition(2, ((0, 1),), (0, 1, 1, 1))
         for measure in (decomposition_rank, decomposition_diversity):
-            with pytest.raises(InputError, match="^cut side contains vertices outside the graph$"):
+            with pytest.raises(InputError, match="^decomposition maps 4 vertices, graph has 3$"):
                 measure(g, d)
 
     def test_diversity_sandwich_random(self):
@@ -212,6 +246,14 @@ class TestOutsidePartition:
         rooted = root_normalize(d)
         parts = outside_partition(g, rooted, 1)
         assert parts == [0, 0b0011]
+
+    def test_node_out_of_range_refused(self):
+        """A node id outside 0..num_nodes - 1 is refused, not wrapped around to the
+        root (-1) or to another node (-2)."""
+        d = root_normalize(star_decomposition(path_graph(4)))  # fresh root leaf 5
+        for v in (-1, -2, d.num_nodes):
+            with pytest.raises(InputError, match=f"^node {v} out of range$"):
+                outside_partition(path_graph(4), d, v)
 
     def test_matches_cut_matrix_rows(self):
         rng = random.Random(3)
@@ -444,16 +486,18 @@ class TestRootNormalize:
         one rooted tree, d._tree, whether d has a root leaf, an empty leaf or none;
         the view is rooted as the restriction of d to the set is."""
         trees = []
-        monkeypatch.setattr(coloring, "_subtree_view", lambda tree, tau, s: (
+        monkeypatch.setattr(decomposition, "_subtree_view", lambda tree, tau, s: (
             trees.append(tree), _subtree_view(tree, tau, s))[1])
         g = path_graph(600)
         star = star_decomposition(g)  # leaf i + 1 holds vertex i
         path = Decomposition(3, ((0, 1), (1, 2)), (0, 2) * 300)  # no empty leaf
+        sets = (bitset(range(300, 303)), bitset(range(400, 406)))
         for d in (star, path, root_normalize(path)):
+            restricted = [restrict(g, d, s)[1] for s in sets]  # these read d's own view
             trees.clear()
-            for s in (bitset(range(300, 303)), bitset(range(400, 406))):
+            for s, sub in zip(sets, restricted):
                 coloring._key_lemma(g, d, s, exact_node_oracle, 64, 64, True, {})
-                assert list(trees[-1].parent) == naive_parents(restrict(g, d, s)[1])[0]
+                assert list(trees[-1].parent) == naive_parents(sub)[0]
             assert len(trees) == 2 and all(tree is d._tree for tree in trees)
 
 
@@ -545,7 +589,7 @@ class TestRootedViewAgainstOracles:
             for graph, dec in ((g, root_normalize(d)), (h, root_normalize(sub))):
                 view = dec.view
                 cuts = {v: (rows, column_classes(rows, rest, graph.n + 1)) for v, rest, rows
-                        in nested_cut_rows(graph, graph.vertex_mask, view.pre, view.kept)}
+                        in nested_cut_rows(graph, graph.vertex_mask, view)}
                 for v in (v for v in range(dec.num_nodes) if v != dec.root and view.pre[v]):
                     piece = piece_graph(graph, dec, v)
                     active = bitset(
@@ -565,9 +609,9 @@ class TestRootedViewAgainstOracles:
 
     def test_merged_classes_equal_each_cut_read_once(self):
         """Along the kept nodes of the view of a connected vertex set s, the rows
-        merged bottom-up and the columns refined from them are what cut_classes
-        reads off each occupied node's cut in g[s] (at a pass-through node, off the
-        cut of its kept descendant), and their GF(2) rank is cut_rank_of's."""
+        merged bottom-up and the columns refined from them are the naive grouping of
+        each occupied node's cut matrix in g[s] (at a pass-through node, of the cut of
+        its kept descendant), and their GF(2) rank is cut_rank_of's."""
         rng = random.Random(23)
         pass_through = 0
         for trial in range(300):
@@ -582,7 +626,7 @@ class TestRootedViewAgainstOracles:
             s = random_connected_set(rng, g)
             view = _subtree_view(dec._tree, dec.tau, s)
             merged = {v: (rows, column_classes(rows, rest, g.n + 1))
-                      for v, rest, rows in nested_cut_rows(g, s, view.pre, view.kept)}
+                      for v, rest, rows in nested_cut_rows(g, s, view)}
             kept = naive_kept_nodes(restrict(g, dec, s)[1])
             assert list(merged) == list(reversed(view.kept)) and set(merged) == set(kept.values())
             h, remap = induced_subgraph(g, s)
@@ -593,7 +637,7 @@ class TestRootedViewAgainstOracles:
             for v, below in kept.items():
                 rows, cols = ({in_h(key): in_h(part) for key, part in classes.items()}
                               for classes in merged[below])
-                assert (rows, cols) == cut_classes(h, in_h(view.pre[v]))
+                assert (rows, cols) == naive_cut_classes(h, in_h(view.pre[v]))
                 assert gf2_rank(merged[below][0]) == cut_rank_of(h, in_h(view.pre[v]))
                 pass_through += below != v
         assert pass_through > 100

@@ -4,6 +4,7 @@ import pytest
 
 from rankchi import (
     CutMatrix,
+    Decomposition,
     Graph,
     InputError,
     bitset,
@@ -15,10 +16,16 @@ from rankchi import (
     cut_rank_of,
     cycle,
 )
-from rankchi.cuts import cut_classes, transpose
+from rankchi.cuts import column_classes, nested_cut_rows, transpose
 from rankchi.generate import random_graph
 
-from helpers import matrix_of_cut, naive_cut_diversity, naive_gf2_rank, random_vertex_subset
+from helpers import (
+    matrix_of_cut,
+    naive_cut_classes,
+    naive_cut_diversity,
+    naive_gf2_rank,
+    random_vertex_subset,
+)
 
 
 class TestCutMatrix:
@@ -85,7 +92,10 @@ class TestCutDiversity:
 class TestCutClasses:
     def test_against_naive_grouping(self):
         """Rows and columns of the 0/1 matrix grouped one by one, on random cuts
-        that include empty and full sides."""
+        that include empty and full sides, against the rows nested_cut_rows merges at
+        the cut's node of a two-node decomposition and the columns column_classes
+        refines from them; the diversity against the matrix's distinct rows and
+        columns."""
         rng = random.Random(6)
         for trial in range(400):
             n = rng.randint(0, 12)
@@ -94,23 +104,16 @@ class TestCutClasses:
                 w = random_vertex_subset(rng, n)
             else:  # every tenth cut has an empty or a full side
                 w = g.vertex_mask if trial % 20 else 0
-            side = [v for v in range(n) if w >> v & 1]
-            other = [v for v in range(n) if not w >> v & 1]
-            matrix = matrix_of_cut(g, side)
-            rows, cols = {}, {}
-            for u, row in zip(side, matrix):
-                key = bitset(x for x, bit in zip(other, row) if bit)
-                rows[key] = rows.get(key, 0) | 1 << u
-            for j, x in enumerate(other):
-                key = bitset(u for u, row in zip(side, matrix) if row[j])
-                cols[key] = cols.get(key, 0) | 1 << x
-            assert cut_classes(g, w) == (rows, cols)
+            d = Decomposition(2, ((0, 1),), tuple(w >> v & 1 for v in range(n)))
+            merged = {v: rows for v, _, rows in nested_cut_rows(g, g.vertex_mask, d.view)}
+            rows = merged.get(1, {})  # node 1 holds w, and is not in the view when w is empty
+            cols = column_classes(rows, g.vertex_mask & ~w, n + 1)
+            assert (rows, cols) == naive_cut_classes(g, w)
             assert cut_diversity_of(g, w) == naive_cut_diversity(g, w)
 
     def test_side_outside_the_graph(self):
-        for measure in (cut_classes, cut_diversity_of):
-            with pytest.raises(InputError):
-                measure(complete(3), bitset([3]))
+        with pytest.raises(InputError, match="^cut side contains vertices outside the graph$"):
+            cut_diversity_of(complete(3), bitset([3]))
 
 
 class TestProperties:
