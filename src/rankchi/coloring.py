@@ -103,11 +103,19 @@ def _piece_quotient(
         groups[row] = groups.get(row, 0) | 1 << u
     isolated = groups.get(0, 0)
     ordered = sorted(groups.items(), key=lambda item: item[1] & -item[1])
-    index = {(part & -part).bit_length() - 1: i for i, (_, part) in enumerate(ordered)}
-    reps = bitset(index)
-    qadj = tuple(bitset(index[u] for u in iter_bits(row & reps)) for row, _ in ordered)
+    bit = {part & -part: 1 << i for i, (_, part) in enumerate(ordered)}  # smallest member -> bit
+    reps = sum(bit)  # distinct single bits, so their union
+    qadj = []
+    for row, _ in ordered:
+        row &= reps
+        q = 0
+        while row:
+            low = row & -row
+            q |= bit[low]
+            row ^= low
+        qadj.append(q)
     w_mask = rows.get(0, 0) & (view.own[v] | ~isolated)
-    return [part for _, part in ordered], Graph._trusted(len(qadj), qadj), w_mask
+    return [part for _, part in ordered], Graph._trusted(len(qadj), tuple(qadj)), w_mask
 
 
 def key_lemma_coloring(
@@ -162,17 +170,20 @@ def _key_lemma(
         raise InputError("piece color budget k must be at least 1")
     view = _view(g, dec, s)
     pre, kept = view.pre, view.kept
-    # refused past d classes on a side before any vertex is colored
-    cuts = {v: (rows, column_classes(rows, rest, d))
-            for v, rest, rows in nested_cut_rows(g, s, view)}
-    d = max(1, max((max(map(len, cut)) for cut in cuts.values() if all(cut)), default=0))
+    # refused past d classes on a side before any vertex is colored; the diversity is
+    # measured on the cuts with both sides nonempty
+    cuts, diversity = {}, 1
+    for v, rest, rows in nested_cut_rows(g, s, view):
+        cols = column_classes(rows, rest, d)
+        cuts[v] = rows, cols
+        if cols:
+            diversity = max(diversity, len(rows), len(cols))
 
-    palette_cap = d * (k + 1)
+    palette_cap = diversity * (k + 1)
     masks: list[int] = []
     colored_mask = 0
 
     for v in kept:
-        used_on_vv = {c for c, mask in enumerate(masks, 1) if mask & pre[v]}
         zero = cuts[v][0].get(0, 0)  # class zero: no neighbor outside V_v
         if check and pre[v] & ~colored_mask != zero:
             raise ContractError("uncolored subtree vertices differ from class zero")
@@ -195,8 +206,8 @@ def _key_lemma(
                 psi1[a - 1] |= part
             # psi2[j - 1]: the vertices of w_mask in outside class j, the j-th nonzero
             # row in order, of the child holding them, of which a child's cut has at
-            # most d; class 1 also takes v's own
-            psi2 = [w_mask & view.own[v]] + [0] * (d - 1)
+            # most diversity; class 1 also takes v's own
+            psi2 = [w_mask & view.own[v]] + [0] * (diversity - 1)
             for c in kept[v]:
                 rows = cuts[c][0]
                 if rows.get(0, 0) & w_mask:
@@ -205,6 +216,7 @@ def _key_lemma(
                     psi2[j - 1] |= rows[row] & w_mask
             # one fresh class per pair (a, j) that meets, in the pairs' sorted order
             fresh = [part for one in psi1 for two in psi2 if (part := one & two)]
+            used_on_vv = {c for c, mask in enumerate(masks, 1) if mask & pre[v]}
             left = palette_cap - len(used_on_vv)
             if len(fresh) > left:
                 raise ContractError(f"{len(fresh)} fresh color classes but only {left} colors left")

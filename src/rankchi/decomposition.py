@@ -127,25 +127,27 @@ class Decomposition:
 
 def _subtree_view(tree: RootedView, tau: tuple[int, ...], s: int) -> RootedView:
     """tree with pre, own and kept for the vertices of the bitset s alone."""
-    pre = [0] * len(tree.parent)
-    members = list(iter_bits(s))
-    for v in members:
-        pre[tau[v]] |= 1 << v
+    parent = tree.parent
+    pre = [0] * len(parent)
+    seen = {-1}  # the root's parent, where every climb ends at the latest
+    for v in iter_bits(s):
+        x = tau[v]
+        pre[x] |= 1 << v
+        while x not in seen:  # climb to the first node already reached
+            seen.add(x)
+            x = parent[x]
+    seen.remove(-1)
     own = tuple(pre)
-    occupied = frontier = {tau[v] for v in members}
-    while frontier:  # climb, one level at a time, to the ancestors of tau's images
-        frontier = {tree.parent[x] for x in frontier} - occupied - {-1}
-        occupied |= frontier
-    bfs = sorted(occupied, key=tree.position.__getitem__)
+    bfs = sorted(seen, key=tree.position.__getitem__)
     below: dict[int, list[int]] = {x: [] for x in bfs}  # the kept nodes nearest below, last first
     kept = {}
     for x in reversed(bfs):
         nodes = below[x]
-        if len(nodes) != 1 or pre[x] != pre[nodes[0]]:  # else x repeats that node's cut
+        if len(nodes) != 1 or own[x]:  # else x repeats that node's cut
             kept[x], nodes = tuple(reversed(nodes)), [x]
-        if x != tree.root:
-            below[tree.parent[x]] += nodes
-            pre[tree.parent[x]] |= pre[x]
+        if (up := parent[x]) != -1:
+            below[up] += nodes
+            pre[up] |= pre[x]
     return replace(tree, pre=tuple(pre), own=own, kept=dict(reversed(kept.items())))
 
 

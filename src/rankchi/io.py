@@ -84,6 +84,8 @@ def decomposition_from_text(text: str, n_vertices: int) -> Decomposition:
                 raise ParseError(f"vertex {v} mapped twice")
             tau[v] = node
         elif line[0] == "r" and len(line) == 2:
+            if root is not None:
+                raise ParseError("root given twice")
             (root,) = _ints(line[1:], line)
         else:
             raise ParseError(f"unrecognized decomposition line {' '.join(line)!r}")

@@ -203,6 +203,13 @@ class TestColor:
         code, _ = self.run_color(tmp_path, capsys, cycle(5), "const:3", 1)
         assert code == 4
 
+    def test_duplicate_root_exit_2(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, Graph(1, (0,)))
+        (tmp_path / "g.dec").write_text("d 3\nt 0 1\nt 1 2\nm 0 1\nr 0\nr 2\n")
+        code = main(["color", gpath, str(tmp_path / "g.dec"), "--f", "const:2", "--r", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: root given twice\n"
+
     def test_empty_graph(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, Graph(0, ()))
         (tmp_path / "g.dec").write_text("d 1\n")

@@ -222,10 +222,16 @@ class TestKeyLemma:
 
     def test_fuzz_with_property_checks(self):
         rng = random.Random(1)
-        for _ in range(120):
-            n = rng.randint(2, 12)
-            g = random_connected_graph(rng, n, rng.uniform(0.2, 0.8))
-            d = random_decomposition(rng, g)
+
+        def connected(decompose):
+            g = random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8))
+            return g, decompose(rng, g)
+
+        inputs = [connected(random_decomposition) for _ in range(120)]
+        inputs += [connected(random_cubic_decomposition) for _ in range(40)]
+        inputs += [one_join_compose(random_join_tree(rng, rng.randint(2, 5), extra=2))[:2]
+                   for _ in range(40)]
+        for g, d in inputs:
             dd, k = measured_budgets(g, d)
             col = key_lemma_coloring(g, d, exact_node_oracle, dd, k, check=True)
             assert col.palette_size <= dd * (k + 1)

@@ -642,6 +642,47 @@ class TestRootedViewAgainstOracles:
                 pass_through += below != v
         assert pass_through > 100
 
+    def test_subset_view_on_every_node(self):
+        """The view of a vertex set s, climbed from each vertex's node to the first node
+        already reached, holds at every node what the restriction of the decomposition
+        to s has: pre is its subtree preimage, own its preimage under tau and kept its
+        kept nodes, each with the kept nodes nearest below in BFS order."""
+        rng = random.Random(29)
+        cases = []
+        for trial in range(120):
+            if trial % 3 == 0:
+                g = random_graph(rng, rng.randint(1, 12))
+                dec = random_decomposition(rng, g, rng.randint(1, 10))
+            elif trial % 3 == 1:
+                g = random_graph(rng, rng.randint(2, 12))
+                dec = random_cubic_decomposition(rng, g)
+            else:
+                g, dec, _ = one_join_compose(random_join_tree(rng, rng.randint(2, 12), extra=3))
+            cases.append((g, dec))
+        g = random_graph(rng, 6)
+        cases.append((g, Decomposition(4, ((0, 1), (0, 2), (2, 3)), (0, 0, 1, 3, 2, 0))))
+        g = random_graph(rng, 8)  # a path 2,000 nodes deep with the vertices at its bottom
+        tau = tuple(2000 - rng.randrange(6) for _ in range(g.n))
+        deep = tuple((i, i + 1) for i in range(2000))
+        cases += [(g, Decomposition(2001, deep, tau)), (g, Decomposition(2001, deep, tau, 0))]
+        deep_sets = 0
+        for g, dec in cases:
+            for s in [g.vertex_mask] + [random_vertex_subset(rng, g.n) for _ in range(4)]:
+                view = _subtree_view(dec._tree, dec.tau, s)
+                _, sub, remap = restrict(g, dec, s)
+                parent = naive_parents(sub)[0]
+                pre, kept = naive_subtree_preimages(sub), naive_kept_nodes(sub)
+                for x in range(dec.num_nodes):
+                    assert bitset(map(remap.get, iter_bits(view.pre[x]))) == pre[x]
+                    assert view.own[x] == bitset(u for u in iter_bits(s) if dec.tau[u] == x)
+                assert list(view.kept) == sorted(set(kept.values()),
+                                                 key=view.position.__getitem__)
+                for x, below in view.kept.items():
+                    assert below == tuple(kept[c] for c in range(dec.num_nodes)
+                                          if parent[c] == x and c in kept)
+                deep_sets += dec.num_nodes > 2000 and s != 0
+        assert deep_sets >= 8
+
     def test_rooted_parents_and_non_edges(self):
         rng = random.Random(10)
         for _ in range(50):

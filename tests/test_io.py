@@ -63,6 +63,12 @@ class TestDecompositionFormat:
         with pytest.raises(ParseError):
             decomposition_from_text("d 1\nm 0 0\nm 0 0\n", 1)
 
+    def test_duplicate_root(self):
+        """Two 'r' lines are refused, not read as the last one; so are two equal ones."""
+        for roots in ("r 0\nr 2\n", "r 2\nr 2\n"):
+            with pytest.raises(ParseError, match="^root given twice$"):
+                decomposition_from_text("d 3\nt 0 1\nt 1 2\nm 0 1\n" + roots, 1)
+
 
 class TestColoringFormat:
     def test_roundtrip(self):
