@@ -21,7 +21,7 @@ from .coloring import (
     exact_node_oracle,
     one_join_compose,
 )
-from .config import limits
+from .config import check_ceiling, limits
 from .cuts import cut_diversity_of, cut_rank_of
 from .decomposition import (
     decomposition_rank,
@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .generate import random_graph, random_join_tree
-from .graph import bitset, named_graph
+from .graph import _catalog, bitset
 from .oracles import (
     has_vertex_minor,
     is_proper,
@@ -183,7 +183,12 @@ def cmd_vminor(args: argparse.Namespace) -> int:
     if target.endswith(".graph") or "/" in target or Path(target).exists():
         h = _load_graph(target)
     else:
-        h = named_graph(target)
+        build, size = _catalog(target)
+        if size is not None and size > max(g.n, 2):  # has_vertex_minor's answer, unbuilt
+            check_ceiling("vertex-minor search", g.n, None, "vertex_minor_n")
+            print("free")
+            return 0
+        h = build()
     verdict = has_vertex_minor(g, h)
     print("contains" if verdict else "free")
     return 0

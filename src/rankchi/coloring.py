@@ -2,7 +2,7 @@
 
 key_lemma_coloring builds, node by node over a rooted decomposition, a
 coloring with at most d(k+1) colors under which no maximum clique is
-monochromatic; a node costs its cut's classes, merged from those below it.
+monochromatic; a node costs its cut's classes, merged in one pass from those below it.
 chi_bounded_coloring turns that into a proper coloring by recursing on
 the color classes, each one clique number lower with no new search, as vertex
 sets of the input graph on its own tree, a recursive generator run on _unwind, not
@@ -85,20 +85,20 @@ def color_bound(bound: ChiBoundFn, s: int) -> int:
 
 
 def _piece_quotient(
-    g: Graph, s: int, view: RootedView, v: int, cuts: dict[int, tuple[dict[int, int], dict[int, int]]]
+    g: Graph, s: int, view: RootedView, v: int, cuts: dict
 ) -> tuple[list[int], Graph, int]:
     """twin_classes(piece_graph(g[s], dec, v)), the quotient on their smallest members,
     and the vertices of class zero of V_v with a piece edge or mapped to v.  The piece
-    rows are read off cuts[x], the classes of the cut at x in g[s]: an outside vertex
-    keeps its column of the cut at v, a vertex below a kept child c its row of the cut
-    at c, and a vertex of view.own[v] all its neighbors in s.  Row zero holds the
-    isolated ones."""
-    rows, cols = cuts[v]
+    rows are read off cuts[x], the rows and columns of the cut at x in g[s] and the
+    kept nodes nearest below x: an outside vertex keeps its column of the cut at v, a
+    vertex below a kept child c its row of the cut at c, and a vertex of s mapped to v
+    all its neighbors in s.  Row zero holds the isolated ones."""
+    rows, cols, below = cuts[v]
     groups = dict(cols)  # piece row -> the vertices with that row
-    for c in view.kept[v]:
+    for c in below:
         for row, part in cuts[c][0].items():
             groups[row] = groups.get(row, 0) | part
-    for u in iter_bits(view.own[v]):
+    for u in iter_bits(view.own[v] & s):
         row = g.adj[u] & s
         groups[row] = groups.get(row, 0) | 1 << u
     isolated = groups.get(0, 0)
@@ -114,7 +114,7 @@ def _piece_quotient(
             q |= bit[low]
             row ^= low
         qadj.append(q)
-    w_mask = rows.get(0, 0) & (view.own[v] | ~isolated)
+    w_mask = rows.get(0, 0) & (view.own[v] & s | ~isolated)
     return [part for _, part in ordered], Graph._trusted(len(qadj), tuple(qadj)), w_mask
 
 
@@ -161,21 +161,23 @@ def _key_lemma(
     color classes: masks[c - 1] holds the vertices colored c, none empty.  s must
     induce a connected subgraph with at least two vertices.  Only kept nodes are
     walked, the root among them unless it passes through: a pass-through node colors
-    nothing and is the origin of no edge.  Their cuts' classes, merged bottom-up, give
-    the diversity, outside classes and piece twin quotients.  answers maps a quotient's
-    rows to the oracle's verified coloring of it; k is checked on every use."""
+    nothing and is the origin of no edge.  One bottom-up pass finds them and merges
+    their cuts' rows, whose classes give the diversity, outside classes and piece twin
+    quotients.  The steps run in BFS order: a step colors V_v alone, so any order with
+    ancestors first gives the same colors, and BFS order fixes the node a refusal names.
+    answers maps a quotient's rows to the oracle's verified coloring; k is checked on every use."""
     if d < 1:
         raise InputError("diversity budget d must be at least 1")
     if k < 1:
         raise InputError("piece color budget k must be at least 1")
-    view = _view(g, dec, s)
-    pre, kept = view.pre, view.kept
+    view = _view(g, dec)
+    pre, own = view.pre, view.own
     # refused past d classes on a side before any vertex is colored; the diversity is
     # measured on the cuts with both sides nonempty
     cuts, diversity = {}, 1
-    for v, rest, rows in nested_cut_rows(g, s, view):
+    for v, below, rest, rows in nested_cut_rows(g, s, view):
         cols = column_classes(rows, rest, d)
-        cuts[v] = rows, cols
+        cuts[v] = rows, cols, below
         if cols:
             diversity = max(diversity, len(rows), len(cols))
 
@@ -183,9 +185,9 @@ def _key_lemma(
     masks: list[int] = []
     colored_mask = 0
 
-    for v in kept:
+    for v in reversed(cuts):  # BFS order: each kept node after the kept node above it
         zero = cuts[v][0].get(0, 0)  # class zero: no neighbor outside V_v
-        if check and pre[v] & ~colored_mask != zero:
+        if check and pre[v] & s & ~colored_mask != zero:
             raise ContractError("uncolored subtree vertices differ from class zero")
 
         w_mask = 0
@@ -207,8 +209,8 @@ def _key_lemma(
             # psi2[j - 1]: the vertices of w_mask in outside class j, the j-th nonzero
             # row in order, of the child holding them, of which a child's cut has at
             # most diversity; class 1 also takes v's own
-            psi2 = [w_mask & view.own[v]] + [0] * (diversity - 1)
-            for c in kept[v]:
+            psi2 = [w_mask & own[v]] + [0] * (diversity - 1)
+            for c in cuts[v][2]:
                 rows = cuts[c][0]
                 if rows.get(0, 0) & w_mask:
                     raise ContractError("piece-active vertex landed in class zero of a child")
@@ -228,7 +230,7 @@ def _key_lemma(
             colored_mask |= w_mask
 
         if check:
-            _check_step(g, view, v, cuts, masks, w_mask)
+            _check_step(g, s, view, v, cuts, masks, w_mask)
 
     if sum(map(int.bit_count, masks)) != s.bit_count():
         raise ContractError("construction left some vertex uncolored")
@@ -237,24 +239,25 @@ def _key_lemma(
     return masks
 
 
-def _check_step(g: Graph, view: RootedView, v: int, cuts: dict, masks: list[int], new: int) -> None:
+def _check_step(g: Graph, s: int, view: RootedView, v: int, cuts: dict, masks: list[int],
+                new: int) -> None:
     """Debug-mode verification of inductive properties 2-4 after the step at v, which
     colored new.  Colors are only ever added, the steps above v were checked, and new
     lies in V_v with no neighbor outside it, so only v, its kept children's classes
     and the edges at new are read."""
-    pre, kept = view.pre, view.kept[v]
+    vv, kept = view.pre[v] & s, cuts[v][2]
     colored = 0
     for mask in masks:
         colored |= mask
     # property 2: the ends of the edges with origin v are colored, as are the vertices
     # mapped to v.  Below a kept child c an end has a neighbor in V_v - V_c, so its row
     # of the cut at c meets V_v; a vertex mapped to v is an end with any neighbor in V_v
-    home, ends = view.own[v], 0
+    home, ends = view.own[v] & s, 0
     for c in kept:
         for row, part in cuts[c][0].items():
-            if row & pre[v]:
+            if row & vv:
                 ends |= part
-    ends |= bitset(u for u in iter_bits(home) if g.adj[u] & pre[v])
+    ends |= bitset(u for u in iter_bits(home) if g.adj[u] & vv)
     if ends & ~colored:
         raise ContractError("edge with processed origin has uncolored endpoint")
     if home & ~colored:

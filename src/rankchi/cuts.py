@@ -1,9 +1,10 @@
 """Cuts of vertex bipartitions: row/column classes, GF(2) rank and diversity.
 
 A single cut's rank and diversity are read straight off the adjacency.  Along the
-nested cuts of a rooted decomposition's view, nested_cut_rows merges each cut's row
-classes from the cuts just below it and column_classes refines the other side by
-them, so a cut costs its classes, not its side."""
+nested cuts of a vertex set on a rooted decomposition's tree, nested_cut_rows finds
+the kept nodes by one pruned descent and merges each cut's row classes from the cuts
+just below it on the way back up, and column_classes refines the other side by them,
+so a cut costs its classes, not its side."""
 
 from __future__ import annotations
 
@@ -108,22 +109,42 @@ def cut_diversity_of(g: Graph, w: int) -> int:
     return max(len(rows), len(cols)) if rows and cols else 0
 
 
-def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, int, dict[int, int]]]:
-    """For each kept node v of the view of s, last first: v, rest = s - pre[v] and the
-    rows of the cut (pre[v], rest) of g[s], each distinct row mapped to the vertices
-    having it.  The rows of kept[v], on disjoint parts of pre[v], are cut down to rest,
-    and only own[v] is read."""
-    rows_of: dict[int, dict[int, int]] = {}
-    for v in reversed(view.kept):
-        rest = s & ~view.pre[v]
-        rows = rows_of[v] = {}
-        for c in view.kept[v]:
-            for row, part in rows_of.pop(c).items():
-                rows[row & rest] = rows.get(row & rest, 0) | part
-        for u in iter_bits(view.own[v]):
-            row = g.adj[u] & rest
-            rows[row] = rows.get(row, 0) | 1 << u
-        yield v, rest, rows
+def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, tuple, int, dict]]:
+    """For each kept node v of the vertex set s, in reverse BFS order: v, the kept nodes
+    nearest below v (last first), rest = s - pre[v] and the rows of the cut
+    (pre[v] & s, rest) of g[s], each distinct row mapped to the vertices having it.
+    The descent enters a child only when its pre meets s.  Back up, a node with no
+    vertex of s of its own and one such child passes through, repeating its cut; every
+    other node is kept, its rows those of the kept nodes nearest below cut down to rest
+    plus those of its own vertices in s."""
+    children, parent, pre, own, adj = view.children, view.parent, view.pre, view.own, g.adj
+    order = [view.root] if s else []  # the nodes whose subtree meets s, in BFS order
+    for x in order:
+        for c in children[x]:
+            if pre[c] & s:
+                order.append(c)
+    below, rows_of = {}, {}  # node -> the kept nodes nearest below it so far; kept node -> rows
+    for x in reversed(order):
+        nodes = below.pop(x, ())
+        mine = own[x] & s
+        if mine or len(nodes) != 1:  # else x repeats that node's cut
+            rest = s & ~pre[x]
+            rows = rows_of[x] = {}
+            for c in nodes:
+                for row, part in rows_of.pop(c).items():
+                    row &= rest
+                    rows[row] = rows.get(row, 0) | part
+            while mine:
+                low = mine & -mine
+                row = adj[low.bit_length() - 1] & rest
+                rows[row] = rows.get(row, 0) | low
+                mine ^= low
+            yield x, tuple(nodes), rest, rows
+            nodes = [x]
+        if (up := parent[x]) in below:  # the root's parent, -1, is never read
+            below[up] += nodes
+        else:
+            below[up] = nodes
 
 
 def column_classes(rows: dict[int, int], rest: int, limit: int) -> dict[int, int]:

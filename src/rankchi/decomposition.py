@@ -8,17 +8,18 @@ All cuts, pieces, outside classes and origins are read off one rooted view
 (Decomposition.view), built by a single breadth-first pass from the root, or node 0
 when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the vertices
 mapped into the subtree at v, so diversity takes one pass over the nodes and a piece
-graph one bitset mask per vertex; rank merges the rows of the view's kept nodes,
-bottom-up (cuts.nested_cut_rows).  The coloring recursion reads views of vertex sets
-s of the graph (_subtree_view) on that same rooted tree, whatever s is.  Every reader
-of a graph and a decomposition starts at _view, the one check of tau against g.
+graph one bitset mask per vertex; rank merges the rows of the kept nodes bottom-up
+(cuts.nested_cut_rows).  The coloring recursion reads each vertex set s of the graph
+off that same view: nested_cut_rows descends only into the subtrees whose pre meets
+s, so no view of s is built.  Every reader of a graph and a decomposition starts at
+_view, the one check of tau against g.
 Rank-decompositions and exact rank-width, by a dynamic programme over vertex
 subsets, live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .config import check_ceiling
@@ -29,23 +30,20 @@ from .graph import Graph, induced_subgraph, iter_bits
 
 @dataclass(frozen=True)
 class RootedView:
-    """The tree in BFS order from root over ascending adj; parent[root] is -1.
+    """The tree rooted at root by a BFS over ascending adj; parent[root] is -1.
 
     pre[x] is the bitset of vertices mapped into the subtree at x, own[x] those mapped
-    to x.  kept maps, in BFS order, the nodes with nonempty pre but the pass-through
-    nodes (no own vertex, one such child, whose cut they repeat) to the kept nodes
-    nearest below, whose pre with own[x] make up pre[x]; the root is kept too, its cut
-    the degenerate (pre[root], empty).  All three are empty in a tree-only view."""
+    to x; both are empty in a tree-only view.  A vertex set s is read off the same
+    view: pre[x] & s and own[x] & s."""
 
     root: int
     adj: tuple[tuple[int, ...], ...]
     parent: tuple[int, ...]
     depth: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
-    position: tuple[int, ...]  # position[x] is the index of x in BFS order
+    order: tuple[int, ...]  # BFS order, so each node before its subtree
     pre: tuple[int, ...] = ()
     own: tuple[int, ...] = ()
-    kept: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: int) -> RootedView:
@@ -80,7 +78,7 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
         tuple(parent),
         tuple(depth),
         tuple(map(tuple, children)),
-        tuple(sorted(range(num_nodes), key=order.__getitem__)),
+        tuple(order),
     )
 
 
@@ -88,8 +86,8 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
 class Decomposition:
     """Tree over num_nodes node ids plus tau: vertex index -> node id.
 
-    Its tree-only view is built once, here; the views of tau and of every vertex set
-    the coloring reads extend it.
+    Its tree-only view is built once, here; the view of tau extends it, and every
+    vertex set the coloring reads is read off that.
     """
 
     num_nodes: int
@@ -118,37 +116,18 @@ class Decomposition:
 
     @cached_property
     def view(self) -> RootedView:
-        """The rooted tree with pre, own and kept for all of tau, built on first use."""
-        return _subtree_view(self._tree, self.tau, (1 << len(self.tau)) - 1)
+        """The rooted tree with pre and own for all of tau, built on first use."""
+        tree = self._tree
+        pre = [0] * self.num_nodes
+        for v, x in enumerate(self.tau):
+            pre[x] |= 1 << v
+        own = tuple(pre)
+        for x in reversed(tree.order[1:]):
+            pre[tree.parent[x]] |= pre[x]
+        return replace(tree, pre=tuple(pre), own=own)
 
     def node_adjacency(self) -> list[list[int]]:
         return [list(nbrs) for nbrs in self._tree.adj]
-
-
-def _subtree_view(tree: RootedView, tau: tuple[int, ...], s: int) -> RootedView:
-    """tree with pre, own and kept for the vertices of the bitset s alone."""
-    parent = tree.parent
-    pre = [0] * len(parent)
-    seen = {-1}  # the root's parent, where every climb ends at the latest
-    for v in iter_bits(s):
-        x = tau[v]
-        pre[x] |= 1 << v
-        while x not in seen:  # climb to the first node already reached
-            seen.add(x)
-            x = parent[x]
-    seen.remove(-1)
-    own = tuple(pre)
-    bfs = sorted(seen, key=tree.position.__getitem__)
-    below: dict[int, list[int]] = {x: [] for x in bfs}  # the kept nodes nearest below, last first
-    kept = {}
-    for x in reversed(bfs):
-        nodes = below[x]
-        if len(nodes) != 1 or own[x]:  # else x repeats that node's cut
-            kept[x], nodes = tuple(reversed(nodes)), [x]
-        if (up := parent[x]) != -1:
-            below[up] += nodes
-            pre[up] |= pre[x]
-    return replace(tree, pre=tuple(pre), own=own, kept=dict(reversed(kept.items())))
 
 
 @dataclass(frozen=True)
@@ -159,12 +138,11 @@ class RankDecomposition:
     width: int
 
 
-def _view(g: Graph, d: Decomposition, s: int) -> RootedView:
-    """The view of the vertex set s of g, d's own when s is all of g; raises InputError
-    unless tau maps exactly the vertices of g."""
+def _view(g: Graph, d: Decomposition) -> RootedView:
+    """d's view; raises InputError unless tau maps exactly the vertices of g."""
     if len(d.tau) != g.n:
         raise InputError(f"decomposition maps {len(d.tau)} vertices, graph has {g.n}")
-    return d.view if s == g.vertex_mask else _subtree_view(d._tree, d.tau, s)
+    return d.view
 
 
 def _rooted(d: Decomposition) -> Decomposition:
@@ -176,7 +154,7 @@ def _rooted(d: Decomposition) -> Decomposition:
 def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
     """Vertex bitsets of the two sides induced by tree edge e (a-side first)."""
     a, b = e
-    view = _view(g, d, g.vertex_mask)
+    view = _view(g, d)
     if 0 <= a < d.num_nodes and 0 <= b < d.num_nodes:
         if view.parent[b] == a:
             side_b = view.pre[b]
@@ -188,14 +166,13 @@ def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
 
 
 def decomposition_rank(g: Graph, d: Decomposition) -> int:
-    cuts = nested_cut_rows(g, g.vertex_mask, _view(g, d, g.vertex_mask))
-    return max((gf2_rank(rows) for _, _, rows in cuts), default=0)
+    cuts = nested_cut_rows(g, g.vertex_mask, _view(g, d))
+    return max((gf2_rank(rows) for *_, rows in cuts), default=0)
 
 
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
     """Max over tree edges of the cut's max(#distinct rows, #distinct columns)."""
-    view = _view(g, d, g.vertex_mask)
-    return max((cut_diversity_of(g, view.pre[v]) for v in view.kept), default=0)
+    return max((cut_diversity_of(g, side) for side in _view(g, d).pre if side), default=0)
 
 
 def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
@@ -205,7 +182,7 @@ def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
     everything outside the subtree at v.  A reference for tests and callers:
     the key lemma reads the piece's twin quotient off the view instead.
     """
-    view = _view(g, d, g.vertex_mask)
+    view = _view(g, d)
     if not 0 <= v < d.num_nodes:
         raise InputError(f"node {v} out of range")
     inside = view.pre[v]
@@ -239,7 +216,7 @@ def origin(d: Decomposition, u: int, w: int) -> int:
 
 def subtree_preimages(g: Graph, d: Decomposition) -> list[int]:
     """For each node v, the bitset of vertices mapped into the subtree at v."""
-    return list(_view(g, _rooted(d), g.vertex_mask).pre)
+    return list(_view(g, _rooted(d)).pre)
 
 
 def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
@@ -248,7 +225,7 @@ def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
     Index 0 is the class with no outside neighbors (possibly empty); the
     remaining classes are ordered by their outside-neighborhood bitsets.
     """
-    view = _view(g, _rooted(d), g.vertex_mask)
+    view = _view(g, _rooted(d))
     if not 0 <= v < d.num_nodes:
         raise InputError(f"node {v} out of range")
     if v == d.root:
@@ -262,7 +239,7 @@ def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
 
 def restrict(g: Graph, d: Decomposition, s: int) -> tuple[Graph, Decomposition, dict[int, int]]:
     """Induced subgraph on s with tau restricted; tree and root unchanged."""
-    _view(g, d, g.vertex_mask)  # for its check of tau against g
+    _view(g, d)  # for its check of tau against g
     h, remap = induced_subgraph(g, s)
     return h, replace(d, tau=tuple(d.tau[u] for u in remap)), remap
 

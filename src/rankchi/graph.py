@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Generator, Iterable, Iterator
+from typing import Any, Callable, Generator, Iterable, Iterator
 
 from .errors import InputError
 
@@ -257,25 +257,23 @@ def cube_minus() -> Graph:
 
 def named_graph(name: str) -> Graph:
     """Resolve a catalog name: w5, w7, cube, cube-, cycle:N, path:N, complete:N."""
+    return _catalog(name)[0]()
+
+
+def _catalog(name: str) -> tuple[Callable[[], Graph], int | None]:
+    """A builder of the graph a catalog name resolves to, and its vertex count read off
+    the name: N for cycle:N, path:N and complete:N, None for the fixed ones."""
     key = name.lower()
-    if key == "w5":
-        return wheel(5)
-    if key == "w7":
-        return wheel(7)
-    if key == "cube":
-        return cube()
-    if key == "cube-":
-        return cube_minus()
+    fixed = {"w5": lambda: wheel(5), "w7": lambda: wheel(7), "cube": cube, "cube-": cube_minus}
+    if key in fixed:
+        return fixed[key], None
     if ":" in key:
         kind, _, arg = key.partition(":")
         try:
             m = int(arg)
         except ValueError as exc:
             raise InputError(f"bad size in graph name {name!r}") from exc
-        if kind == "cycle":
-            return cycle(m)
-        if kind == "path":
-            return path_graph(m)
-        if kind == "complete":
-            return complete(m)
+        sized = {"cycle": cycle, "path": path_graph, "complete": complete}
+        if kind in sized:
+            return lambda: sized[kind](m), m
     raise InputError(f"unknown graph name {name!r}")

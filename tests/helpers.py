@@ -37,7 +37,8 @@ def naive_gf2_rank(matrix: list[list[int]]) -> int:
 
 
 def matrix_of_cut(g: Graph, w_side: list[int]) -> list[list[int]]:
-    other = [v for v in range(g.n) if v not in w_side]
+    side = set(w_side)
+    other = [v for v in range(g.n) if v not in side]
     return [[1 if g.has_edge(u, v) else 0 for v in other] for u in w_side]
 
 
@@ -332,17 +333,24 @@ def naive_origin(d, u: int, w: int) -> int:
 # --- key-lemma step oracle ----------------------------------------------------
 
 
-def full_step_check(g: Graph, dec, view, processed, masks: list[int]) -> None:
-    """Properties 2-4 of the key lemma's induction over the whole coloring masks,
-    after the steps at the kept nodes processed of view, the key lemma's view of s
-    on dec's tree: every processed node, every class of every unprocessed kept node
-    and every monochromatic edge are read, with the facts they need built here from
-    g, tau and the view alone.  Raises ContractError with the step check's messages.
+def full_step_check(g: Graph, dec, s: int, processed, masks: list[int]) -> None:
+    """Properties 2-4 of the key lemma's induction over the whole coloring masks of the
+    vertex set s, after the steps at the nodes processed of dec restricted to s: every
+    processed node, every class of every unprocessed kept node and every monochromatic
+    edge are read, with the facts they need built here from g, dec and s alone.  Raises
+    ContractError with the step check's messages.
     """
-    pre = view.pre
-    s = pre[view.root]
+    parent, _ = naive_parents(dec)
+    pre = [0] * dec.num_nodes  # the vertices of s mapped into each subtree
+    for u in iter_bits(s):
+        x = dec.tau[u]
+        while x != -1:
+            pre[x] |= 1 << u
+            x = parent[x]
+    sub = Decomposition(dec.num_nodes, dec.tree_edges, tuple(dec.tau[u] for u in iter_bits(s)),
+                        dec.root)
     classes = {}  # kept node -> its cut's row classes in g[s], class zero first
-    for x in view.kept:
+    for x in set(naive_kept_nodes(sub).values()):
         groups: dict[int, int] = {}
         for u in iter_bits(pre[x]):
             row = g.adj[u] & s & ~pre[x]
@@ -362,7 +370,7 @@ def full_step_check(g: Graph, dec, view, processed, masks: list[int]) -> None:
         for w in iter_bits(later):
             x = dec.tau[u]
             while not pre[x] >> w & 1:
-                x = view.parent[x]
+                x = parent[x]
             ends[x] = ends.get(x, 0) | 1 << u | 1 << w
         unconfined[u] = later & ~together[u]
     colored = 0

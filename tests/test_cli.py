@@ -17,9 +17,11 @@ from rankchi import (
     color_bound,
     complete,
     cycle,
+    path_graph,
     validate_rank_decomposition,
     wheel,
 )
+from rankchi import cli
 from rankchi.cli import main
 from rankchi.config import Limits
 from rankchi.generate import random_graph
@@ -462,3 +464,28 @@ class TestVminor:
         hpath = write_graph(tmp_path, complete(3), "h.graph")
         assert main(["vminor", gpath, "--target", hpath]) == 0
         assert capsys.readouterr().out.strip() == "contains"
+
+    def test_oversize_catalog_target_is_not_built(self, tmp_path, capsys):
+        """A catalog target with more vertices than the graph is answered free from the
+        size in its name: path:20000 on a 5-vertex graph allocates under 1 MB."""
+        path = write_graph(tmp_path, path_graph(5))
+        tracemalloc.start()
+        try:
+            assert main(["vminor", path, "--target", "path:20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.strip() == "free"
+        assert peak < 1 << 20
+
+    def test_catalog_target_of_the_graphs_size_is_searched(self, tmp_path, capsys, monkeypatch):
+        """A catalog target no larger than the graph is built and searched for."""
+        searched = []
+        search = cli.has_vertex_minor
+        monkeypatch.setattr(cli, "has_vertex_minor", lambda g, h: (
+            searched.append((g.n, h)), search(g, h))[1])
+        path = write_graph(tmp_path, path_graph(5))
+        for target, verdict in (("path:5", "contains"), ("cycle:5", "free")):
+            assert main(["vminor", path, "--target", target]) == 0
+            assert capsys.readouterr().out.strip() == verdict
+        assert searched == [(5, path_graph(5)), (5, cycle(5))]

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -415,6 +416,59 @@ class TestKeyLemmaOnVertexSets:
         assert calls == []
 
 
+def relabeled(rng, dec):
+    """dec with its nodes renamed by a random permutation that fixes its root, or node 0
+    when it is unrooted, where the walk starts."""
+    fixed = 0 if dec.root is None else dec.root
+    others = [x for x in range(dec.num_nodes) if x != fixed]
+    name = dict(zip(others, rng.sample(others, len(others))))
+    name[fixed] = fixed
+    return Decomposition(dec.num_nodes, tuple((name[a], name[b]) for a, b in dec.tree_edges),
+                         tuple(name[x] for x in dec.tau), dec.root)
+
+
+class TestNodeIds:
+    def test_colorings_do_not_depend_on_node_ids(self, monkeypatch):
+        """Renaming the nodes of a decomposition, its root kept, reorders the kept nodes
+        among their siblings and nothing else, and a step's colors depend only on the
+        steps at its ancestors: chi_bounded_coloring and key_lemma_coloring color alike
+        and refuse alike on random, cubic and join-tree decompositions, checked or not,
+        under loose and tight budgets.  The one exception is which piece a refusal for
+        the piece budget names, when two pieces on different branches exceed it."""
+        monkeypatch.setattr(config, "limits", lambda: config.Limits(clique_n=100_000))
+        rng = random.Random(17)
+        refused = colored = named_other = 0
+        for i in range(600):
+            if i % 3 == 0:
+                g = random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8))
+                dec = random_decomposition(rng, g, rng.randint(1, 10))
+            elif i % 3 == 1:
+                g = random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8))
+                dec = random_cubic_decomposition(rng, g)
+            else:
+                g, dec, _ = one_join_compose(random_join_tree(rng, rng.randint(2, 12), extra=3))
+            renamed, check = relabeled(rng, dec), i % 2 == 0
+            d, k = rng.choice([1, 2, 64]), rng.choice([1, 2, 3, 64])
+            bound = ChiBoundFn(tuple(sorted(rng.randint(1, 4) for _ in range(3))),
+                               rng.choice([0, 1, 2, 8]))
+            for run in (lambda dec: key_lemma_coloring(g, dec, exact_node_oracle, d, k, check),
+                        lambda dec: chi_bounded_coloring(g, dec, exact_node_oracle, bound, check)):
+                before, after = outcome(lambda: run(dec)), outcome(lambda: run(renamed))
+                if isinstance(before, Coloring):
+                    colored += 1
+                    assert after == before
+                    continue
+                refused += 1
+                budget = re.fullmatch(r"piece oracle used \d+ colors, (budget \d+)", before[1])
+                if budget and after != before:
+                    assert isinstance(after, tuple) and after[0] is before[0]
+                    assert re.fullmatch(rf"piece oracle used \d+ colors, {budget[1]}", after[1])
+                    named_other += 1
+                else:
+                    assert after == before
+        assert colored > 400 and refused > 400 and named_other < 5
+
+
 EDGE = "edge with processed origin has uncolored endpoint"
 HOME = "vertex mapped to processed node is uncolored"
 CLASS = "class of an unprocessed subtree is multicolored"
@@ -432,7 +486,7 @@ def moved(masks, u, to):
     return out if out[-1] else out[:-1]
 
 
-def corrupt(message, g, view, v, cuts, masks, new):
+def corrupt(message, g, s, view, v, cuts, masks, new):
     """A copy of masks after the step at v with one vertex that step colored moved so
     that the property whose refusal reads message breaks, or None."""
     colored = 0
@@ -441,7 +495,7 @@ def corrupt(message, g, view, v, cuts, masks, new):
     if message == EDGE:  # every vertex the step colors is an end of an edge with origin v
         return moved(masks, (new & -new).bit_length() - 1, None) if new else None
     held = {}  # new vertex -> the class of the kept child of v holding it
-    for c in view.kept[v]:
+    for c in cuts[v][2]:  # the kept nodes nearest below v
         for part in cuts[c][0].values():
             held.update(dict.fromkeys(iter_bits(part & new), part))
     for u in iter_bits(new):
@@ -457,13 +511,15 @@ def corrupt(message, g, view, v, cuts, masks, new):
 
 def step_checks(monkeypatch, seed, cases, each_step):
     """Color cases seeded random graphs on random and cubic decompositions with
-    check=True, calling each_step(g, dec, args) after each step passes its check,
-    where args are the check's own arguments."""
+    check=True, calling each_step(g, dec, walked, args) after each step passes its
+    check, where walked are the nodes stepped at so far, the checked one last, and args
+    are the check's own arguments."""
     check_step = coloring._check_step
     current = []
 
     def after(*args):
         check_step(*args)
+        current[2].append(args[3])
         each_step(*current, args)
 
     monkeypatch.setattr(coloring, "_check_step", after)
@@ -471,7 +527,7 @@ def step_checks(monkeypatch, seed, cases, each_step):
     for i in range(cases):
         g = random_connected_graph(rng, rng.randint(3, 14), rng.uniform(0.2, 0.7))
         dec = (random_decomposition if i % 2 else random_cubic_decomposition)(rng, g)
-        current[:] = g, dec
+        current[:] = g, dec, []
         key_lemma_coloring(g, dec, exact_node_oracle, 64, 64, True)
 
 
@@ -493,10 +549,10 @@ class TestStepChecks:
         check_step = coloring._check_step
         refused = []
 
-        def each_step(g, dec, args):
+        def each_step(g, dec, walked, args):
             bad = corrupt(message, *args)
             if bad is not None:
-                refused.append(refusal(check_step, *args[:4], bad, args[5]))
+                refused.append(refusal(check_step, *args[:-2], bad, args[-1]))
 
         step_checks(monkeypatch, 6, 30, each_step)
         assert len(refused) > 10 and set(refused) == {message}
@@ -508,12 +564,12 @@ class TestStepChecks:
         check_step = coloring._check_step
         refused = []
 
-        def each_step(g, dec, args):
-            _, view, v, _, masks, new = args
-            pre = view.pre
-            lone = [u for u in iter_bits(pre[v]) if dec.tau[u] == v and not g.adj[u] & pre[v]]
+        def each_step(g, dec, walked, args):
+            _, s, view, v, _, masks, new = args
+            vv = view.pre[v] & s
+            lone = [u for u in iter_bits(vv) if dec.tau[u] == v and not g.adj[u] & vv]
             if lone:
-                refused.append(refusal(check_step, *args[:4], moved(masks, lone[0], None), new))
+                refused.append(refusal(check_step, *args[:-2], moved(masks, lone[0], None), new))
 
         step_checks(monkeypatch, 6, 30, each_step)
         assert len(refused) > 5 and set(refused) == {HOME}
@@ -526,16 +582,14 @@ class TestStepChecks:
         check_step = coloring._check_step
         seen = Counter()
 
-        def each_step(g, dec, args):
-            _, view, v, _, masks, new = args
-            walk = list(view.kept)
-            processed = walk[:walk.index(v) + 1]
-            assert refusal(full_step_check, g, dec, view, processed, masks) is None
+        def each_step(g, dec, walked, args):
+            s, masks, new = args[1], args[-2], args[-1]
+            assert refusal(full_step_check, g, dec, s, walked, masks) is None
             for u in iter_bits(new):
                 for to in [None, *range(len(masks) + 1)]:
                     bad = moved(masks, u, to)
-                    expected = refusal(full_step_check, g, dec, view, processed, bad)
-                    assert refusal(check_step, *args[:4], bad, new) == expected
+                    expected = refusal(full_step_check, g, dec, s, walked, bad)
+                    assert refusal(check_step, *args[:-2], bad, new) == expected
                     seen[expected] += 1
 
         step_checks(monkeypatch, 8, 40, each_step)

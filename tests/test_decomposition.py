@@ -35,7 +35,7 @@ from rankchi import (
 from rankchi import coloring, decomposition
 from rankchi.coloring import _piece_quotient, one_join_compose
 from rankchi.cuts import column_classes, cut_rank_of, gf2_rank, nested_cut_rows
-from rankchi.decomposition import _subtree_view, rooted_parents, subtree_preimages
+from rankchi.decomposition import rooted_parents, subtree_preimages
 from rankchi.generate import (
     random_cubic_decomposition,
     random_decomposition,
@@ -482,23 +482,25 @@ class TestRootNormalize:
             assert calls == [normalized.root]
 
     def test_restrictions_with_one_root_share_one_tree(self, monkeypatch):
-        """The key lemma builds the view of every vertex set on the decomposition's
-        one rooted tree, d._tree, whether d has a root leaf, an empty leaf or none;
-        the view is rooted as the restriction of d to the set is."""
-        trees = []
-        monkeypatch.setattr(decomposition, "_subtree_view", lambda tree, tau, s: (
-            trees.append(tree), _subtree_view(tree, tau, s))[1])
+        """The key lemma reads every vertex set off the decomposition's own view, on
+        its one rooted tree, d._tree, whether d has a root leaf, an empty leaf or none;
+        that tree is rooted as the restriction of d to the set is."""
+        views = []
+        monkeypatch.setattr(coloring, "nested_cut_rows", lambda g, s, view: (
+            views.append(view), nested_cut_rows(g, s, view))[1])
         g = path_graph(600)
         star = star_decomposition(g)  # leaf i + 1 holds vertex i
         path = Decomposition(3, ((0, 1), (1, 2)), (0, 2) * 300)  # no empty leaf
         sets = (bitset(range(300, 303)), bitset(range(400, 406)))
         for d in (star, path, root_normalize(path)):
             restricted = [restrict(g, d, s)[1] for s in sets]  # these read d's own view
-            trees.clear()
+            views.clear()
             for s, sub in zip(sets, restricted):
                 coloring._key_lemma(g, d, s, exact_node_oracle, 64, 64, True, {})
-                assert list(trees[-1].parent) == naive_parents(sub)[0]
-            assert len(trees) == 2 and all(tree is d._tree for tree in trees)
+                assert list(views[-1].parent) == naive_parents(sub)[0]
+            assert len(views) == 2 and all(view is d.view for view in views)
+            assert all(view.children is d._tree.children and view.parent is d._tree.parent
+                       for view in views)
 
 
 def random_tree_decomposition(rng, g):
@@ -534,6 +536,45 @@ def random_connected_set(rng, g):
             break
         s |= 1 << rng.choice(list(iter_bits(reach)))
     return s
+
+
+def assert_cut_rows_match_restriction(g, dec, s):
+    """nested_cut_rows(g, s, dec.view) against the restriction of dec to s: the kept
+    nodes, each one's side s - rest and kept nodes nearest below (in reverse BFS
+    order, so by descending child id), and the rows and the columns refined from them,
+    read one matrix entry at a time in g[s]; a pass-through node has the side of the
+    kept node below it, so repeats its cut.  Each kept node comes before the kept node
+    above it, so the walk, the output reversed, has the one above first.  Returns the
+    number of pass-through nodes."""
+    out = list(nested_cut_rows(g, s, dec.view))
+    h, sub, remap = restrict(g, dec, s)
+    parent = naive_parents(sub)[0]
+    pre, kept = naive_subtree_preimages(sub), naive_kept_nodes(sub)
+
+    def in_h(mask):
+        return bitset(map(remap.get, iter_bits(mask)))
+
+    assert [v for v, *_ in out] == list(dict.fromkeys(v for v, *_ in out))
+    assert {v for v, *_ in out} == set(kept.values())
+    position = {v: i for i, (v, *_) in enumerate(out)}
+    merged = {}
+    for v, below, rest, rows in out:
+        assert rest == s & ~dec.view.pre[v] and in_h(s & ~rest) == pre[v]
+        assert below == tuple(reversed([kept[c] for c in range(dec.num_nodes)
+                                        if parent[c] == v and c in kept]))
+        x = parent[v]  # the kept node above v, if any
+        while x != -1 and kept[x] != x:
+            x = parent[x]
+        assert x == -1 or position[v] < position[x]
+        merged[v] = rows, column_classes(rows, rest, g.n + 1)
+    for v, below in kept.items():
+        assert pre[v] == pre[below]  # so a pass-through node repeats the cut below it
+    for v in merged:
+        rows, cols = ({in_h(key): in_h(part) for key, part in classes.items()}
+                      for classes in merged[v])
+        assert (rows, cols) == naive_cut_classes(h, pre[v])
+        assert gf2_rank(merged[v][0]) == cut_rank_of(h, pre[v])
+    return sum(below != v for v, below in kept.items())
 
 
 def assert_view_matches_oracles(g, d):
@@ -588,15 +629,15 @@ class TestRootedViewAgainstOracles:
             h, sub, _ = restrict(g, d, random_vertex_subset(rng, g.n))
             for graph, dec in ((g, root_normalize(d)), (h, root_normalize(sub))):
                 view = dec.view
-                cuts = {v: (rows, column_classes(rows, rest, graph.n + 1)) for v, rest, rows
-                        in nested_cut_rows(graph, graph.vertex_mask, view)}
+                cuts = {v: (rows, column_classes(rows, rest, graph.n + 1), below)
+                        for v, below, rest, rows in nested_cut_rows(graph, graph.vertex_mask, view)}
                 for v in (v for v in range(dec.num_nodes) if v != dec.root and view.pre[v]):
                     piece = piece_graph(graph, dec, v)
                     active = bitset(
                         u for u in iter_bits(outside_partition(graph, dec, v)[0])
                         if piece.adj[u] or dec.tau[u] == v
                     )
-                    if v not in view.kept:
+                    if v not in cuts:
                         assert not active
                         skipped += 1
                         continue
@@ -608,10 +649,10 @@ class TestRootedViewAgainstOracles:
         assert empty_children > 100 and skipped > 50
 
     def test_merged_classes_equal_each_cut_read_once(self):
-        """Along the kept nodes of the view of a connected vertex set s, the rows
-        merged bottom-up and the columns refined from them are the naive grouping of
-        each occupied node's cut matrix in g[s] (at a pass-through node, of the cut of
-        its kept descendant), and their GF(2) rank is cut_rank_of's."""
+        """Along the kept nodes nested_cut_rows finds for a connected vertex set s, the
+        rows merged bottom-up and the columns refined from them are the naive grouping
+        of each occupied node's cut matrix in g[s] (at a pass-through node, of the cut
+        of its kept descendant), and their GF(2) rank is cut_rank_of's."""
         rng = random.Random(23)
         pass_through = 0
         for trial in range(300):
@@ -623,30 +664,18 @@ class TestRootedViewAgainstOracles:
                 dec = random_cubic_decomposition(rng, g)
             else:
                 g, dec, _ = one_join_compose(random_join_tree(rng, rng.randint(2, 12), extra=3))
-            s = random_connected_set(rng, g)
-            view = _subtree_view(dec._tree, dec.tau, s)
-            merged = {v: (rows, column_classes(rows, rest, g.n + 1))
-                      for v, rest, rows in nested_cut_rows(g, s, view)}
-            kept = naive_kept_nodes(restrict(g, dec, s)[1])
-            assert list(merged) == list(reversed(view.kept)) and set(merged) == set(kept.values())
-            h, remap = induced_subgraph(g, s)
-
-            def in_h(mask):
-                return bitset(map(remap.get, iter_bits(mask)))
-
-            for v, below in kept.items():
-                rows, cols = ({in_h(key): in_h(part) for key, part in classes.items()}
-                              for classes in merged[below])
-                assert (rows, cols) == naive_cut_classes(h, in_h(view.pre[v]))
-                assert gf2_rank(merged[below][0]) == cut_rank_of(h, in_h(view.pre[v]))
-                pass_through += below != v
+            pass_through += assert_cut_rows_match_restriction(g, dec, random_connected_set(rng, g))
         assert pass_through > 100
+        g = random_graph(rng, 600, 0.01)  # a star with 600 leaves
+        s = random_connected_set(rng, g)
+        assert s.bit_count() > 100
+        assert_cut_rows_match_restriction(g, star_decomposition(g), s)
 
     def test_subset_view_on_every_node(self):
-        """The view of a vertex set s, climbed from each vertex's node to the first node
-        already reached, holds at every node what the restriction of the decomposition
-        to s has: pre is its subtree preimage, own its preimage under tau and kept its
-        kept nodes, each with the kept nodes nearest below in BFS order."""
+        """For any vertex set s, the nodes nested_cut_rows keeps, their kept nodes
+        nearest below, their sides and rows are those of the restriction of the
+        decomposition to s, each after the kept nodes below it; s is read at every
+        node off the decomposition's own view, as pre & s and own & s."""
         rng = random.Random(29)
         cases = []
         for trial in range(120):
@@ -665,23 +694,24 @@ class TestRootedViewAgainstOracles:
         tau = tuple(2000 - rng.randrange(6) for _ in range(g.n))
         deep = tuple((i, i + 1) for i in range(2000))
         cases += [(g, Decomposition(2001, deep, tau)), (g, Decomposition(2001, deep, tau, 0))]
-        deep_sets = 0
+        g = random_graph(rng, 600, 0.01)  # a star with 600 leaves, read on random subsets
+        cases.append((g, star_decomposition(g)))  # only: the naive classes of all 600 take 0.6 s
+        deep_sets = wide_sets = 0
         for g, dec in cases:
-            for s in [g.vertex_mask] + [random_vertex_subset(rng, g.n) for _ in range(4)]:
-                view = _subtree_view(dec._tree, dec.tau, s)
+            sets = [random_vertex_subset(rng, g.n) for _ in range(4)]
+            for s in sets if g.n == 600 else [g.vertex_mask, *sets]:
+                view = dec.view
                 _, sub, remap = restrict(g, dec, s)
-                parent = naive_parents(sub)[0]
-                pre, kept = naive_subtree_preimages(sub), naive_kept_nodes(sub)
+                pre, own = naive_subtree_preimages(sub), [0] * dec.num_nodes
+                for u in iter_bits(s):
+                    own[dec.tau[u]] |= 1 << u
                 for x in range(dec.num_nodes):
-                    assert bitset(map(remap.get, iter_bits(view.pre[x]))) == pre[x]
-                    assert view.own[x] == bitset(u for u in iter_bits(s) if dec.tau[u] == x)
-                assert list(view.kept) == sorted(set(kept.values()),
-                                                 key=view.position.__getitem__)
-                for x, below in view.kept.items():
-                    assert below == tuple(kept[c] for c in range(dec.num_nodes)
-                                          if parent[c] == x and c in kept)
+                    assert bitset(map(remap.get, iter_bits(view.pre[x] & s))) == pre[x]
+                    assert view.own[x] & s == own[x]
+                assert_cut_rows_match_restriction(g, dec, s)
                 deep_sets += dec.num_nodes > 2000 and s != 0
-        assert deep_sets >= 8
+                wide_sets += dec.num_nodes > 600 and s.bit_count() > 200
+        assert deep_sets >= 8 and wide_sets >= 4
 
     def test_rooted_parents_and_non_edges(self):
         rng = random.Random(10)

@@ -105,7 +105,7 @@ class TestCutClasses:
             else:  # every tenth cut has an empty or a full side
                 w = g.vertex_mask if trial % 20 else 0
             d = Decomposition(2, ((0, 1),), tuple(w >> v & 1 for v in range(n)))
-            merged = {v: rows for v, _, rows in nested_cut_rows(g, g.vertex_mask, d.view)}
+            merged = {v: rows for v, *_, rows in nested_cut_rows(g, g.vertex_mask, d.view)}
             rows = merged.get(1, {})  # node 1 holds w, and is not in the view when w is empty
             cols = column_classes(rows, g.vertex_mask & ~w, n + 1)
             assert (rows, cols) == naive_cut_classes(g, w)
