@@ -1,10 +1,12 @@
 """Cuts of vertex bipartitions: row/column classes, GF(2) rank and diversity.
 
-A single cut's rank and diversity are read straight off the adjacency.  Along the
-nested cuts of a vertex set on a rooted decomposition's tree, nested_cut_rows finds
-the kept nodes by one pruned descent and merges each cut's row classes from the cuts
-just below it on the way back up, and column_classes refines the other side by them,
-so a cut costs its classes, not its side."""
+A single cut's rank is read straight off the adjacency.  Along the nested cuts of a
+vertex set on a rooted decomposition's tree, nested_cut_rows finds the kept nodes by
+one pruned descent and merges each cut's row classes from the cuts just below it on
+the way back up, and column_classes refines the other side by them, so a cut costs
+its classes, not its side.  column_classes is the one reader of a cut's columns: the
+diversity of a single cut, of a CutMatrix and of a decomposition all count them
+through it."""
 
 from __future__ import annotations
 
@@ -44,17 +46,6 @@ def cut_matrix(g: Graph, w: int) -> CutMatrix:
     return CutMatrix(tuple(rows), row_index, col_index)
 
 
-def transpose(m: CutMatrix) -> CutMatrix:
-    cols = []
-    for j in range(len(m.col_index)):
-        c = 0
-        for i, row in enumerate(m.rows):
-            if row >> j & 1:
-                c |= 1 << i
-        cols.append(c)
-    return CutMatrix(tuple(cols), m.col_index, m.row_index)
-
-
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of bitset rows, by elimination on leading bits."""
     pivots: dict[int, int] = {}
@@ -78,9 +69,11 @@ def cut_diversity(m: CutMatrix) -> int:
     """max(#distinct rows, #distinct columns); 0 for an empty matrix."""
     if not m.rows or not m.col_index:
         return 0
-    distinct_rows = len(set(m.rows))
-    distinct_cols = len(set(transpose(m).rows))
-    return max(distinct_rows, distinct_cols)
+    rows: dict[int, int] = {}
+    for i, row in enumerate(m.rows):
+        rows[row] = rows.get(row, 0) | 1 << i
+    cols = column_classes(rows, (1 << len(m.col_index)) - 1, len(m.rows) + len(m.col_index))
+    return max(len(rows), len(cols))
 
 
 def cut_rank_of(g: Graph, w: int) -> int:
@@ -104,8 +97,11 @@ def cut_diversity_of(g: Graph, w: int) -> int:
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
     rest = g.vertex_mask & ~w
-    rows = {g.adj[u] & rest for u in iter_bits(w)}
-    cols = {g.adj[x] & w for x in iter_bits(rest)}
+    rows: dict[int, int] = {}
+    for u in iter_bits(w):
+        row = g.adj[u] & rest
+        rows[row] = rows.get(row, 0) | 1 << u
+    cols = column_classes(rows, rest, g.n)
     return max(len(rows), len(cols)) if rows and cols else 0
 
 

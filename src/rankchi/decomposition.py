@@ -5,11 +5,12 @@ from graph vertices to tree nodes.  Every tree edge induces a cut of the
 graph; the rank/diversity of the decomposition is the maximum over its edges.
 
 All cuts, pieces, outside classes and origins are read off one rooted view
-(Decomposition.view), built by a single breadth-first pass from the root, or node 0
-when unrooted.  Every tree edge is (parent[v], v) with cut pre[v], the vertices
-mapped into the subtree at v, so diversity takes one pass over the nodes and a piece
-graph one bitset mask per vertex; rank merges the rows of the kept nodes bottom-up
-(cuts.nested_cut_rows).  The coloring recursion reads each vertex set s of the graph
+(Decomposition.view), built with the decomposition by a single breadth-first pass
+from the root, or node 0 when unrooted.  Every tree edge is (parent[v], v) with cut
+pre[v], the vertices mapped into the subtree at v, so a piece graph takes one bitset
+mask per vertex; rank and diversity merge the rows of the kept nodes bottom-up
+(cuts.nested_cut_rows), diversity refining each cut's columns by them
+(cuts.column_classes).  The coloring recursion reads each vertex set s of the graph
 off that same view: nested_cut_rows descends only into the subtrees whose pre meets
 s, so no view of s is built.  Every reader of a graph and a decomposition starts at
 _view, the one check of tau against g.
@@ -20,10 +21,9 @@ subsets, live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .config import check_ceiling
-from .cuts import cut_diversity_of, cut_rank_of, gf2_rank, nested_cut_rows
+from .cuts import column_classes, cut_rank_of, gf2_rank, nested_cut_rows
 from .errors import ContractError, InputError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
 
@@ -33,8 +33,7 @@ class RootedView:
     """The tree rooted at root by a BFS over ascending adj; parent[root] is -1.
 
     pre[x] is the bitset of vertices mapped into the subtree at x, own[x] those mapped
-    to x; both are empty in a tree-only view.  A vertex set s is read off the same
-    view: pre[x] & s and own[x] & s."""
+    to x.  A vertex set s is read off the same view: pre[x] & s and own[x] & s."""
 
     root: int
     adj: tuple[tuple[int, ...], ...]
@@ -42,12 +41,15 @@ class RootedView:
     depth: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]  # BFS order, so each node before its subtree
-    pre: tuple[int, ...] = ()
-    own: tuple[int, ...] = ()
+    pre: tuple[int, ...]
+    own: tuple[int, ...]
 
 
-def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: int) -> RootedView:
-    """Breadth-first pass from root; raises InputError unless the edges form a tree."""
+def _root_tree(
+    num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: int, tau: tuple[int, ...]
+) -> RootedView:
+    """The tree rooted at root, with pre and own of tau, by one breadth-first pass;
+    raises InputError unless the edges form a tree."""
     adj: list[list[int]] = [[] for _ in range(num_nodes)]
     for a, b in tree_edges:
         if not (0 <= a < num_nodes and 0 <= b < num_nodes) or a == b:
@@ -72,6 +74,12 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
                 order.append(y)
     if len(order) != num_nodes:
         raise InputError("tree edges do not form a connected tree")
+    pre = [0] * num_nodes
+    for v, x in enumerate(tau):
+        pre[x] |= 1 << v
+    own = tuple(pre)
+    for x in reversed(order[1:]):
+        pre[parent[x]] |= pre[x]
     return RootedView(
         root,
         tuple(map(tuple, adj)),
@@ -79,6 +87,8 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
         tuple(depth),
         tuple(map(tuple, children)),
         tuple(order),
+        tuple(pre),
+        own,
     )
 
 
@@ -86,8 +96,9 @@ def _root_tree(num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: in
 class Decomposition:
     """Tree over num_nodes node ids plus tau: vertex index -> node id.
 
-    Its tree-only view is built once, here; the view of tau extends it, and every
-    vertex set the coloring reads is read off that.
+    Its rooted view, pre and own included, is built once, here, and kept as view
+    (not a field, so equality, hashing and repr ignore it); every vertex set the
+    coloring reads is read off that.
     """
 
     num_nodes: int
@@ -103,31 +114,16 @@ class Decomposition:
             raise InputError("tree must have exactly num_nodes - 1 edges")
         if self.root is not None and not 0 <= self.root < k:
             raise InputError("root out of range")
-        tree = _root_tree(k, self.tree_edges, 0 if self.root is None else self.root)
-        object.__setattr__(self, "_tree", tree)
         for v, node in enumerate(self.tau):
             if not 0 <= node < k:
                 raise InputError(f"tau maps vertex {v} to a non-node")
+        view = _root_tree(k, self.tree_edges, 0 if self.root is None else self.root, self.tau)
+        object.__setattr__(self, "view", view)
         if self.root is not None:
-            if len(tree.adj[self.root]) > 1:
+            if len(view.adj[self.root]) > 1:
                 raise InputError("root must be a leaf")
-            if any(node == self.root for node in self.tau):
+            if view.own[self.root]:
                 raise InputError("root leaf must have an empty preimage")
-
-    @cached_property
-    def view(self) -> RootedView:
-        """The rooted tree with pre and own for all of tau, built on first use."""
-        tree = self._tree
-        pre = [0] * self.num_nodes
-        for v, x in enumerate(self.tau):
-            pre[x] |= 1 << v
-        own = tuple(pre)
-        for x in reversed(tree.order[1:]):
-            pre[tree.parent[x]] |= pre[x]
-        return replace(tree, pre=tuple(pre), own=own)
-
-    def node_adjacency(self) -> list[list[int]]:
-        return [list(nbrs) for nbrs in self._tree.adj]
 
 
 @dataclass(frozen=True)
@@ -172,7 +168,9 @@ def decomposition_rank(g: Graph, d: Decomposition) -> int:
 
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
     """Max over tree edges of the cut's max(#distinct rows, #distinct columns)."""
-    return max((cut_diversity_of(g, side) for side in _view(g, d).pre if side), default=0)
+    cuts = nested_cut_rows(g, g.vertex_mask, _view(g, d))
+    return max((max(len(rows), len(column_classes(rows, rest, g.n)))
+                for _, _, rest, rows in cuts if rest), default=0)
 
 
 def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
@@ -198,8 +196,8 @@ def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
 
 def rooted_parents(d: Decomposition) -> tuple[list[int], list[int]]:
     """Parent and depth arrays of the rooted tree; requires a root."""
-    tree = _rooted(d)._tree
-    return list(tree.parent), list(tree.depth)
+    view = _rooted(d).view
+    return list(view.parent), list(view.depth)
 
 
 def origin(d: Decomposition, u: int, w: int) -> int:
@@ -253,8 +251,8 @@ def root_normalize(d: Decomposition) -> Decomposition:
     """
     if d.root is not None:
         return d
-    used, fresh = set(d.tau), d.num_nodes
-    root = next((v for v in range(fresh) if len(d._tree.adj[v]) <= 1 and v not in used), fresh)
+    view, fresh = d.view, d.num_nodes
+    root = next((v for v in range(fresh) if len(view.adj[v]) <= 1 and not view.own[v]), fresh)
     edges = d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
     return Decomposition(len(edges) + 1, edges, d.tau, root)
 
@@ -270,7 +268,7 @@ def star_decomposition(g: Graph) -> Decomposition:
 
 def validate_rank_decomposition(g: Graph, d: Decomposition) -> RankDecomposition:
     """Check the cubic-tree/leaf-bijection shape and report the width."""
-    adj = d._tree.adj
+    adj = d.view.adj
     leaves = {v for v in range(d.num_nodes) if len(adj[v]) <= 1}
     for v in range(d.num_nodes):
         if v not in leaves and len(adj[v]) != 3:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from rankchi import Coloring, ContractError, Decomposition, Graph, iter_bits
+from rankchi import Coloring, ContractError, CutMatrix, Decomposition, Graph, iter_bits
 
 
 def naive_gf2_rank(matrix: list[list[int]]) -> int:
@@ -34,6 +34,18 @@ def naive_gf2_rank(matrix: list[list[int]]) -> int:
         pivot_row += 1
         rank += 1
     return rank
+
+
+def transpose(m: CutMatrix) -> CutMatrix:
+    """The cut matrix with rows and columns swapped, one entry at a time."""
+    cols = []
+    for j in range(len(m.col_index)):
+        c = 0
+        for i, row in enumerate(m.rows):
+            if row >> j & 1:
+                c |= 1 << i
+        cols.append(c)
+    return CutMatrix(tuple(cols), m.col_index, m.row_index)
 
 
 def matrix_of_cut(g: Graph, w_side: list[int]) -> list[list[int]]:

@@ -45,7 +45,7 @@ from rankchi.generate import (
 from rankchi.oracles import canonical_form
 from rankchi.coloring import compose_sequential
 
-from helpers import naive_chromatic_number, random_vertex_subset
+from helpers import naive_chromatic_number, random_vertex_subset, tree_adjacency
 
 
 def report(number, label, ok):
@@ -140,7 +140,7 @@ def test_criterion_4_witness_pieces_tripartite(witness_corpus):
     corpus, _ = witness_corpus
     ok = True
     for g, _width, dec in corpus:
-        adj = dec.node_adjacency()
+        adj = tree_adjacency(dec)
         for v in range(dec.num_nodes):
             comp = {}
             for startnode in adj[v]:

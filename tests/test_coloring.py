@@ -192,6 +192,20 @@ class TestKeyLemma:
         col = key_lemma_coloring(g, d, oracle, 3, 3, check=True)
         assert no_max_clique_monochromatic(g, col) and "oracle" in calls
 
+    @pytest.mark.parametrize("d, k, error, message", [
+        (0, 2, InputError, "diversity budget d must be at least 1"),
+        (2, 0, InputError, "piece color budget k must be at least 1"),
+        (2, 1, ContractError, "piece oracle used 2 colors, budget 1"),
+    ], ids=["d_zero", "k_zero", "k_one"])
+    def test_budget_refusals(self, d, k, error, message):
+        """On the path P4 with its star decomposition (diversity 2), a budget below 1
+        is refused as input before any cut is read, and k = 1 passes that check and is
+        refused by the first piece coloring that needs 2 colors."""
+        g = path_graph(4)
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+            key_lemma_coloring(g, star_decomposition(g), exact_node_oracle, d, k)
+        assert type(refused.value) is error
+
     def test_oracle_budget_violation(self):
         g = complete(4)
         d = Decomposition(2, ((0, 1),), (0, 0, 0, 0), root=1)
@@ -350,8 +364,8 @@ class TestKeyLemmaOnVertexSets:
                 dec = (random_cubic_decomposition(rng, g) if trial % 3 == 1
                        else random_decomposition(rng, g, rng.randint(1, 6)))
             k = dec.num_nodes
-            hung = Decomposition(k + 1, dec.tree_edges + ((dec._tree.root, k),), dec.tau, k)
-            root_holds += dec._tree.root in dec.tau
+            hung = Decomposition(k + 1, dec.tree_edges + ((dec.view.root, k),), dec.tau, k)
+            root_holds += dec.view.root in dec.tau
             sets = graph._components(g.adj, g.vertex_mask)
             sets += graph._components(g.adj, random_vertex_subset(rng, g.n))
             for mask in (s for s in sets if s & (s - 1)):

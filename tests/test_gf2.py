@@ -15,8 +15,9 @@ from rankchi import (
     cut_rank,
     cut_rank_of,
     cycle,
+    iter_bits,
 )
-from rankchi.cuts import column_classes, nested_cut_rows, transpose
+from rankchi.cuts import column_classes, nested_cut_rows
 from rankchi.generate import random_graph
 
 from helpers import (
@@ -25,6 +26,7 @@ from helpers import (
     naive_cut_diversity,
     naive_gf2_rank,
     random_vertex_subset,
+    transpose,
 )
 
 
@@ -114,6 +116,41 @@ class TestCutClasses:
     def test_side_outside_the_graph(self):
         with pytest.raises(InputError, match="^cut side contains vertices outside the graph$"):
             cut_diversity_of(complete(3), bitset([3]))
+
+
+class TestDiversityReaders:
+    def test_three_readers_agree(self):
+        """cut_diversity on the cut matrix, cut_diversity_of on the graph and the naive
+        count of a matrix's distinct rows and columns agree on every cut, among them
+        cuts with repeated columns, with an all-zero column and with an empty side."""
+        rng = random.Random(12)
+        cases = [
+            (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 0b0001),  # three equal columns
+            (Graph.from_edges(4, [(0, 1), (1, 2)]), 0b0001),  # columns 2 and 3 all-zero
+            (complete(3), 0),
+            (complete(3), 0b111),
+            (Graph(0, ()), 0),
+        ]
+        for _ in range(800):
+            n = rng.randint(0, 14)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+            cases.append((g, random_vertex_subset(rng, n)))
+        seen = set()
+        for g, w in cases:
+            expected = naive_cut_diversity(g, w)
+            assert cut_diversity(cut_matrix(g, w)) == expected
+            assert cut_diversity_of(g, w) == expected
+            rest = g.vertex_mask & ~w
+            if not w or not rest:
+                seen.add("empty side")
+                assert expected == 0
+                continue
+            columns = [g.adj[x] & w for x in iter_bits(rest)]
+            if len(set(columns)) < len(columns):
+                seen.add("repeated columns")
+            if 0 in columns:
+                seen.add("all-zero column")
+        assert seen == {"empty side", "repeated columns", "all-zero column"}
 
 
 class TestProperties:
