@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 a verification check failed, 2 parse/input error,
 3 resource limit exceeded or input too large to allocate, 4 contract
 violation.
+
+main(argv) may be called repeatedly in one process: its argument parser is
+built on the first call, not at import, and kept for the later ones, and the
+RANKCHI_* limits are read once per process (config.limits).
 """
 
 from __future__ import annotations
@@ -11,13 +15,13 @@ import argparse
 import random
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import io
 from .coloring import (
     ChiBoundFn,
     _coloring_and_omega,
-    color_bound,
     exact_node_oracle,
     one_join_compose,
 )
@@ -98,15 +102,14 @@ def cmd_color(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     dec = io.decomposition_from_text(_read(args.decomposition), g.n)
     bound = _parse_bound(args.f, args.r)
-    coloring, omega = _coloring_and_omega(g, dec, exact_node_oracle, bound, False)
+    coloring, omega, b = _coloring_and_omega(g, dec, exact_node_oracle, bound, False)
     # _coloring_and_omega raises ContractError unless the coloring is proper
-    # and within color_bound(bound, omega) (trivially so on the empty graph),
-    # so both checks reported below have passed
+    # and within b = color_bound(bound, max(omega, 1)), so both checks reported
+    # below have passed
     out = args.out or args.graph + ".coloring"
     Path(out).write_text(io.coloring_to_text(coloring))
     print(f"omega={omega}")
     print(f"palette={coloring.palette_size}")
-    b = color_bound(bound, max(omega, 1))
     try:
         b_text = str(b)
     except ValueError:  # too many digits for int-to-str conversion; hex has no limit
@@ -194,6 +197,7 @@ def cmd_vminor(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # built on main's first call, then shared: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankchi",

@@ -13,6 +13,7 @@ construction together with its rank-1 decomposition.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from itertools import count, islice, zip_longest
@@ -75,13 +76,12 @@ class ChiBoundFn:
 
 
 def color_bound(bound: ChiBoundFn, s: int) -> int:
-    """Palette bound B(s) of the recursion: B(1)=1, B(s)=2^r (f(s)+1) B(s-1)."""
+    """Palette bound B(s) of the recursion: B(1)=1, B(s)=2^r (f(s)+1) B(s-1), that is
+    B(s) = 2^{r(s-1)} prod_{i=2..s} (f(i)+1), its power of two one shift at the end:
+    linear in r(s-1), where a product level by level is quadratic."""
     if s < 1:
         raise InputError("clique number must be at least 1")
-    b = 1
-    for i in range(2, s + 1):
-        b *= (1 << bound.rank_budget) * (bound(i) + 1)
-    return b
+    return math.prod(bound(i) + 1 for i in range(2, s + 1)) << bound.rank_budget * (s - 1)
 
 
 def _piece_quotient(
@@ -298,8 +298,9 @@ def chi_bounded_coloring(
 
 
 def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle,
-                        bound: ChiBoundFn, check: bool) -> tuple[Coloring, int]:
-    """chi_bounded_coloring's coloring and omega(g), which it searches once."""
+                        bound: ChiBoundFn, check: bool) -> tuple[Coloring, int, int]:
+    """chi_bounded_coloring's coloring, omega(g), which it searches once, and the
+    palette bound color_bound(bound, max(omega, 1)) it was checked against."""
     rank = decomposition_rank(g, dec)
     if rank > bound.rank_budget:
         raise ContractError(
@@ -308,12 +309,12 @@ def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle
     omega = clique_number(g)
     masks = _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, {})
     result = _coloring_of(masks, g.n)
-    if g.n:
-        if not is_proper(g, result):
-            raise ContractError("constructed coloring is not proper")
-        if result.palette_size > color_bound(bound, omega):
-            raise ContractError("constructed coloring exceeds the color bound")
-    return result, omega
+    b = color_bound(bound, max(omega, 1))
+    if not is_proper(g, result):
+        raise ContractError("constructed coloring is not proper")
+    if result.palette_size > b:
+        raise ContractError("constructed coloring exceeds the color bound")
+    return result, omega, b
 
 
 def _color_recursive(

@@ -122,6 +122,17 @@ def naive_chromatic_number(g: Graph) -> int:
     raise AssertionError("unreachable: n colors always suffice")
 
 
+def naive_color_bound(bound, s: int) -> int:
+    """The paper's palette bound B(s), level by level: B(1) = 1 and
+    B(i) = 2^r (f(i) + 1) B(i - 1), with f read off the table (the last entry
+    repeated past its end) and r the rank budget."""
+    table, r = bound.table, bound.rank_budget
+    b = 1
+    for i in range(2, s + 1):
+        b = b * 2**r * (table[min(i, len(table)) - 1] + 1)
+    return b
+
+
 def naive_clique_number(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import random
@@ -14,7 +15,6 @@ from rankchi import (
     Graph,
     InputError,
     clique_number,
-    color_bound,
     complete,
     cycle,
     path_graph,
@@ -32,6 +32,8 @@ from rankchi.io import (
     graph_to_text,
     join_tree_from_text,
 )
+
+from helpers import naive_color_bound
 
 
 def write_graph(tmp_path, g, name="g.graph"):
@@ -241,7 +243,112 @@ class TestColor:
         (value,) = [line.split("=", 1)[1] for line in lines if line.startswith("bound=")]
         omega = clique_number(graph_from_text((tmp_path / "rw.graph").read_text()))
         assert omega >= 2
-        assert int(value, 0) == color_bound(ChiBoundFn.constant(3, 100000), omega)
+        assert int(value, 0) == naive_color_bound(ChiBoundFn.constant(3, 100000), omega)
+
+
+class TestSharedParser:
+    """main builds its parser on the first call and reuses it; no call leaves
+    state behind for the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_built_once_across_calls(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        path = write_graph(tmp_path, cycle(4))
+        for _ in range(3):
+            assert main(["cutrank", path, "--set", "0,1"]) == 0
+        assert main(["rankwidth", path, "-o", str(tmp_path / "w.dec")]) == 0
+        assert built.count("rankchi") == 1 and len(built) == 7  # the top parser + 6 subcommands
+        assert cli.build_parser.cache_info()[:2] == (3, 1)  # hits, misses
+
+    def test_not_built_at_import(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import rankchi.cli as c; print(c.build_parser.cache_info().misses)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_default_output_after_an_explicit_one(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, cycle(5))
+        dec = str(tmp_path / "w.dec")
+        assert main(["rankwidth", gpath, "-o", dec]) == 0
+        explicit = tmp_path / "x.col"
+        assert main(["color", gpath, dec, "--f", "const:3", "--r", "2", "-o", str(explicit)]) == 0
+        assert explicit.exists() and not Path(gpath + ".coloring").exists()
+        explicit.unlink()
+        capsys.readouterr()
+        assert main(["color", gpath, dec, "--f", "const:3", "--r", "2"]) == 0
+        assert f"coloring={gpath}.coloring" in capsys.readouterr().out.splitlines()
+        assert Path(gpath + ".coloring").exists() and not explicit.exists()
+
+    def test_verify_without_decomposition_after_one_with(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, cycle(5))
+        dec = str(tmp_path / "w.dec")
+        assert main(["rankwidth", gpath, "-o", dec]) == 0
+        col = tmp_path / "c.col"
+        col.write_text("".join(f"c {v} {1 + v % 3}\n" for v in range(5)))
+        capsys.readouterr()
+        assert main(["verify", gpath, str(col), "--decomposition", dec]) == 0
+        assert "check:rank_decomposition=pass" in capsys.readouterr().out
+        assert main(["verify", gpath, str(col)]) == 0
+        out = capsys.readouterr().out
+        assert "check:rank_decomposition" not in out and "width=" not in out
+        assert out == "check:proper=pass\ncheck:max_clique_split=pass\n"
+
+    @pytest.mark.parametrize("refused, status", [
+        (["color", "g", "d", "--f", "const:3", "--r", "abc"], 2),
+        (["color", "--help"], 0),
+        (["--help"], 0),
+        (["verify"], 2),
+    ])
+    def test_a_call_after_an_exit_runs_as_in_a_fresh_process(
+            self, tmp_path, capsys, refused, status):
+        gpath = write_graph(tmp_path, cycle(5))
+        dec = str(tmp_path / "w.dec")
+        assert main(["rankwidth", gpath, "-o", dec]) == 0
+        argv = ["color", gpath, dec, "--f", "const:3", "--r", "2", "-o", str(tmp_path / "c.col")]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        fresh = subprocess.run([sys.executable, "-m", "rankchi.cli", *argv],
+                               env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, timeout=120)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(refused)
+        assert info.value.code == status
+        capsys.readouterr()
+        assert main(argv) == 0
+
+        def untimed(text):
+            return [line for line in text.splitlines() if not line.startswith("time=")]
+
+        assert untimed(capsys.readouterr().out) == untimed(fresh.stdout)
+        assert fresh.returncode == 0
+
+    def test_each_command_dispatches_to_its_own(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, cycle(5))
+        dec = str(tmp_path / "w.dec")
+        assert main(["rankwidth", gpath, "-o", dec]) == 0
+        capsys.readouterr()
+        assert main(["cutrank", gpath, "--set", "0,1"]) == 0
+        assert capsys.readouterr().out == "rank=2 diversity=3\n"
+        assert main(["color", gpath, dec, "--f", "const:3", "--r", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["omega=2", "palette=3"] and "check:proper=pass" in lines
+        assert main(["cutrank", gpath, "--set", "2"]) == 0
+        assert capsys.readouterr().out == "rank=1 diversity=2\n"
 
 
 class TestUnexpectedErrors:

@@ -52,7 +52,13 @@ from rankchi.generate import (
 from rankchi import coloring, config, decomposition, graph, oracles
 from rankchi.decomposition import restrict
 
-from helpers import full_step_check, naive_cut_classes, naive_kept_nodes, random_vertex_subset
+from helpers import (
+    full_step_check,
+    naive_color_bound,
+    naive_cut_classes,
+    naive_kept_nodes,
+    random_vertex_subset,
+)
 
 
 def path_join_tree(pieces):
@@ -125,6 +131,33 @@ class TestColorBound:
     def test_invalid_s(self):
         with pytest.raises(InputError):
             color_bound(ChiBoundFn.constant(1, 0), 0)
+
+    def test_matches_the_level_by_level_product(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            table = tuple(sorted(rng.randint(1, 40) for _ in range(rng.randint(1, 8))))
+            bound = ChiBoundFn(table, rng.randint(0, 50))
+            s = rng.randint(1, 60)
+            assert color_bound(bound, s) == naive_color_bound(bound, s)
+
+    def test_chi_bounded_coloring_hands_back_the_bound_it_checked(self, monkeypatch):
+        """_coloring_and_omega computes B(max(omega, 1)) once and returns it, so the
+        CLI prints the bound the palette was checked against without recomputing it."""
+        calls = []
+
+        def counted(bound, s):
+            calls.append(s)
+            return naive_color_bound(bound, s)
+
+        monkeypatch.setattr(coloring, "color_bound", counted)
+        bound = ChiBoundFn.constant(3, 2)
+        for g, omega in ((cycle(5), 2), (Graph(0, ()), 0), (Graph(3, (0, 0, 0)), 1)):
+            calls.clear()
+            col, got, b = coloring._coloring_and_omega(
+                g, star_decomposition(g), exact_node_oracle, bound, False)
+            assert (got, b, calls) == (omega, naive_color_bound(bound, max(omega, 1)),
+                                       [max(omega, 1)])
+            assert col.palette_size <= b
 
 
 class TestKeyLemma:
