@@ -18,7 +18,7 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from itertools import count, islice, zip_longest
 
-from .cuts import column_classes, nested_cut_rows
+from .cuts import column_classes, gf2_rank, nested_cut_rows
 from .decomposition import Decomposition, RootedView, _view, decomposition_rank
 from .errors import ContractError, InputError
 from .graph import Graph, _components, _unwind, bitset, connected_components, iter_bits, one_join
@@ -155,7 +155,7 @@ def _coloring_of(masks: list[int], n: int) -> Coloring:
 
 def _key_lemma(
     g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, d: int, k: int,
-    check: bool, answers: dict[tuple[int, ...], Coloring],
+    check: bool, answers: dict[tuple[int, ...], Coloring], table: list | None = None,
 ) -> list[int]:
     """key_lemma_coloring of g[s] and tau cut down to s, on dec's own rooted tree, as
     color classes: masks[c - 1] holds the vertices colored c, none empty.  s must
@@ -165,7 +165,8 @@ def _key_lemma(
     their cuts' rows, whose classes give the diversity, outside classes and piece twin
     quotients.  The steps run in BFS order: a step colors V_v alone, so any order with
     ancestors first gives the same colors, and BFS order fixes the node a refusal names.
-    answers maps a quotient's rows to the oracle's verified coloring; k is checked on every use."""
+    answers maps a quotient's rows to the oracle's verified coloring; k is checked on every use.
+    table, when given, is the output of nested_cut_rows(g, s, dec.view), read already."""
     if d < 1:
         raise InputError("diversity budget d must be at least 1")
     if k < 1:
@@ -175,7 +176,7 @@ def _key_lemma(
     # refused past d classes on a side before any vertex is colored; the diversity is
     # measured on the cuts with both sides nonempty
     cuts, diversity = {}, 1
-    for v, below, rest, rows in nested_cut_rows(g, s, view):
+    for v, below, rest, rows in nested_cut_rows(g, s, view) if table is None else table:
         cols = column_classes(rows, rest, d)
         cuts[v] = rows, cols, below
         if cols:
@@ -300,14 +301,18 @@ def chi_bounded_coloring(
 def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle,
                         bound: ChiBoundFn, check: bool) -> tuple[Coloring, int, int]:
     """chi_bounded_coloring's coloring, omega(g), which it searches once, and the
-    palette bound color_bound(bound, max(omega, 1)) it was checked against."""
-    rank = decomposition_rank(g, dec)
+    palette bound color_bound(bound, max(omega, 1)) it was checked against.  The nested
+    cut rows of the whole vertex set are read once: the rank check, which refuses
+    before the clique search, takes its rank from them, and the key lemma on a
+    connected g reuses them."""
+    table = list(nested_cut_rows(g, g.vertex_mask, _view(g, dec)))
+    rank = max((gf2_rank(rows) for *_, rows in table), default=0)
     if rank > bound.rank_budget:
         raise ContractError(
             f"decomposition rank {rank} exceeds budget {bound.rank_budget}"
         )
     omega = clique_number(g)
-    masks = _color_recursive(g, dec, g.vertex_mask, oracle, bound, check, omega + 1, {})
+    masks = _color_recursive(g, dec, oracle, bound, check, omega + 1, table)
     result = _coloring_of(masks, g.n)
     b = color_bound(bound, max(omega, 1))
     if not is_proper(g, result):
@@ -318,39 +323,46 @@ def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle
 
 
 def _color_recursive(
-    g: Graph, dec: Decomposition, s: int, oracle: NodeColoringOracle, bound: ChiBoundFn,
-    check: bool, below: int, answers: dict[tuple[int, ...], Coloring],
+    g: Graph, dec: Decomposition, oracle: NodeColoringOracle, bound: ChiBoundFn,
+    check: bool, below: int, table: list,
 ) -> list[int]:
-    """The color classes, one bitset per color, of a coloring of the subgraph induced
-    on s, whose clique number must be less than below.  color(s, claim), from claim =
-    below - 1, colors each component of s within color_bound(bound, claim), with no
-    clique search.  A single vertex takes the first color.  The key lemma splits every
-    maximum clique of any other component, so each of its classes has clique number
-    below the claim and is colored by color(part, claim - 1), its colors after those of
-    the classes before it.  The components share one palette, merged color by color.
-    A claim above the true one only loosens k = f(claim), which picks no color.  A
-    component with an edge under a claim below 2, or with check=True one with a clique
-    past its claim, is refused.  Each call is yielded to _unwind, so the recursion, one
-    level per clique number, is not bounded by the call stack.  answers is _key_lemma's,
-    one per call."""
+    """The color classes, one bitset per color, of a coloring of g, whose clique number
+    must be less than below.  color(s, claim), from s = V(g) and claim = below - 1,
+    colors each component of g[s] within color_bound(bound, claim), with no clique
+    search.  The vertices with no neighbor in s take the first color, as one mask, and
+    only the rest is split into components.  The key lemma splits every maximum clique
+    of any other component, so each of its classes has clique number below the claim
+    and is colored by color(part, claim - 1), its colors after those of the classes
+    before it.  The components share one palette, merged color by color.  A claim
+    above the true one only loosens k = f(claim), which picks no color.  A component
+    under a claim below 2, or with check=True one with a clique past its claim, is
+    refused.  Each call is yielded to _unwind, so the recursion, one level per clique
+    number, is not bounded by the call stack.  table holds the nested cut rows of V(g),
+    which the key lemma on the whole vertex set reads instead of walking the tree again.
+    One answers dict, _key_lemma's piece-oracle cache, serves the whole recursion."""
+
+    adj, whole, answers = g.adj, g.vertex_mask, {}
 
     def color(s: int, claim: int) -> Generator:
-        masks: list[int] = []
-        for comp in _components(g.adj, s):
-            if comp & (comp - 1):
-                if claim < 2 or check and _max_clique_size(g.adj, comp, claim) > claim:
-                    raise ContractError("a color class kept the clique number")
-                line: list[int] = []  # the component's classes, its parts' end to end
-                # _key_lemma measures the diversity against the budget 2^r
-                for part in _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(claim),
-                                       check, answers):
-                    line += (yield color(part, claim - 1)) if part & (part - 1) else [part]
-            else:
-                line = [comp]
+        isolated, left = 0, s
+        while left:
+            low = left & -left
+            if not adj[low.bit_length() - 1] & s:
+                isolated |= low
+            left ^= low
+        masks = [isolated] if isolated else []
+        for comp in _components(adj, s & ~isolated):
+            if claim < 2 or check and _max_clique_size(adj, comp, claim) > claim:
+                raise ContractError("a color class kept the clique number")
+            line: list[int] = []  # the component's classes, its parts' end to end
+            # _key_lemma measures the diversity against the budget 2^r
+            for part in _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(claim),
+                                   check, answers, table if comp == whole else None):
+                line += (yield color(part, claim - 1)) if part & (part - 1) else [part]
             masks = [a | b for a, b in zip_longest(masks, line, fillvalue=0)]
         return masks
 
-    return _unwind(color(s, below - 1))
+    return _unwind(color(whole, below - 1))
 
 
 # --- 1-join trees -----------------------------------------------------------

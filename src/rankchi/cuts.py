@@ -2,9 +2,10 @@
 
 A single cut's rank is read straight off the adjacency.  Along the nested cuts of a
 vertex set on a rooted decomposition's tree, nested_cut_rows finds the kept nodes by
-one pruned descent and merges each cut's row classes from the cuts just below it on
-the way back up, and column_classes refines the other side by them, so a cut costs
-its classes, not its side.  column_classes is the one reader of a cut's columns: the
+one pruned descent from the lowest node whose subtree holds the whole set, so the
+chain of nodes above it, which keeps nothing, is never read.  It merges each cut's row
+classes from the cuts just below it on the way back up, and column_classes refines the
+other side by them, so a cut costs its classes, not its side.  column_classes is the one reader of a cut's columns: the
 diversity of a single cut, of a CutMatrix and of a decomposition all count them
 through it."""
 
@@ -109,12 +110,19 @@ def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, t
     """For each kept node v of the vertex set s, in reverse BFS order: v, the kept nodes
     nearest below v (last first), rest = s - pre[v] and the rows of the cut
     (pre[v] & s, rest) of g[s], each distinct row mapped to the vertices having it.
-    The descent enters a child only when its pre meets s.  Back up, a node with no
-    vertex of s of its own and one such child passes through, repeating its cut; every
-    other node is kept, its rows those of the kept nodes nearest below cut down to rest
-    plus those of its own vertices in s."""
+    The descent starts at the lowest node whose pre holds all of s, reached by climbing
+    from tau of the lowest vertex of s; every node above it passes through, so none is
+    read.  It enters a child only when its pre meets s.  Back up, a node with no vertex
+    of s of its own and one such child passes through, repeating its cut; every other
+    node is kept, its rows those of the kept nodes nearest below cut down to rest plus
+    those of its own vertices in s."""
     children, parent, pre, own, adj = view.children, view.parent, view.pre, view.own, g.adj
-    order = [view.root] if s else []  # the nodes whose subtree meets s, in BFS order
+    order = []  # the nodes whose subtree meets s, from the lowest one holding s, in BFS order
+    if s:
+        top = view.tau[(s & -s).bit_length() - 1]
+        while s & ~pre[top]:
+            top = parent[top]
+        order.append(top)
     for x in order:
         for c in children[x]:
             if pre[c] & s:

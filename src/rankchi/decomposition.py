@@ -11,9 +11,10 @@ pre[v], the vertices mapped into the subtree at v, so a piece graph takes one bi
 mask per vertex; rank and diversity merge the rows of the kept nodes bottom-up
 (cuts.nested_cut_rows), diversity refining each cut's columns by them
 (cuts.column_classes).  The coloring recursion reads each vertex set s of the graph
-off that same view: nested_cut_rows descends only into the subtrees whose pre meets
-s, so no view of s is built.  Every reader of a graph and a decomposition starts at
-_view, the one check of tau against g.
+off that same view: nested_cut_rows climbs from tau of the lowest vertex of s to the
+lowest node whose pre holds s and descends from there only into the subtrees whose pre
+meets s, so no view of s is built and no node above that one is read.  Every reader
+of a graph and a decomposition starts at _view, the one check of tau against g.
 Rank-decompositions and exact rank-width, by a dynamic programme over vertex
 subsets, live here too.
 """
@@ -32,15 +33,17 @@ from .graph import Graph, induced_subgraph, iter_bits
 class RootedView:
     """The tree rooted at root by a BFS over ascending adj; parent[root] is -1.
 
-    pre[x] is the bitset of vertices mapped into the subtree at x, own[x] those mapped
-    to x.  A vertex set s is read off the same view: pre[x] & s and own[x] & s."""
+    tau is the decomposition's, pre[x] the bitset of vertices mapped into the subtree
+    at x and own[x] those mapped to x.  A vertex set s is read off the same view, as
+    pre[x] & s and own[x] & s, from the lowest node whose pre holds s: the first one
+    with no vertex of s outside its pre on the climb from tau of the lowest vertex of s."""
 
     root: int
     adj: tuple[tuple[int, ...], ...]
     parent: tuple[int, ...]
     depth: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]  # BFS order, so each node before its subtree
+    tau: tuple[int, ...]
     pre: tuple[int, ...]
     own: tuple[int, ...]
 
@@ -86,7 +89,7 @@ def _root_tree(
         tuple(parent),
         tuple(depth),
         tuple(map(tuple, children)),
-        tuple(order),
+        tau,
         tuple(pre),
         own,
     )

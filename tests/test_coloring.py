@@ -756,6 +756,69 @@ class TestChiBoundedColoring:
         col = chi_bounded_coloring(g, d, exact_node_oracle, ChiBoundFn.constant(3, 1))
         assert is_proper(g, col)
 
+    def test_rank_is_read_on_the_whole_graph(self):
+        """Two disjoint edges each of rank 1 at node 1, whose union has rank 2 there: the
+        rank check reads all of g, not each component, so budget 1 is refused."""
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        dec = Decomposition(3, ((0, 1), (0, 2)), (1, 2, 1, 2))
+        assert decomposition_rank(g, dec) == 2
+        for comp in (0b0011, 0b1100):
+            assert decomposition_rank(*restrict(g, dec, comp)[:2]) == 1
+        with pytest.raises(ContractError, match="^decomposition rank 2 exceeds budget 1$"):
+            chi_bounded_coloring(g, dec, exact_node_oracle, ChiBoundFn.constant(3, 1))
+        col = chi_bounded_coloring(g, dec, exact_node_oracle, ChiBoundFn.constant(3, 2))
+        assert is_proper(g, col)
+
+    def test_a_coloring_walks_the_whole_graph_once(self, monkeypatch):
+        """The nested cut rows of V(g) are read once per coloring of a connected g: the
+        rank check and the first key-lemma call share them.  Counted at both bindings
+        of nested_cut_rows, the coloring's and decomposition_rank's."""
+        wholes = Counter()
+        for module in (coloring, decomposition):
+            walk = module.nested_cut_rows
+            monkeypatch.setattr(module, "nested_cut_rows", lambda g, s, view, walk=walk: (
+                wholes.update([s == g.vertex_mask]), walk(g, s, view))[1])
+        rng = random.Random(17)
+        cases = []
+        for _ in range(8):
+            g = random_connected_graph(rng, rng.randint(2, 9), 0.5)
+            cases += [(g, star_decomposition(g)), (g, exact_rank_width(g)[1].decomposition)]
+            g, dec, _ = one_join_compose(random_join_tree(rng, 6, extra=3, p=0.6))
+            cases.append((g, dec))
+        colored = deeper = 0
+        for g, dec in cases:
+            if len(graph.connected_components(g)) != 1:
+                continue
+            bound = ChiBoundFn.constant(g.n, decomposition_rank(g, dec))
+            wholes.clear()
+            assert is_proper(g, chi_bounded_coloring(g, dec, exact_node_oracle, bound))
+            assert wholes[True] == 1
+            colored += 1
+            deeper += wholes[False]  # walks of the color classes, one level down
+        assert colored > 12 and deeper > 12
+
+    def test_isolated_vertices_take_the_first_color_together(self, monkeypatch):
+        """The vertices of a set with no neighbor in it take color 1 as one mask, so
+        _components is never handed one of them."""
+        seen = []
+        components = coloring._components
+        monkeypatch.setattr(coloring, "_components", lambda adj, s: (
+            seen.append(s), components(adj, s))[1])
+        rng = random.Random(19)
+        loners = 0
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.5))
+            seen.clear()
+            col = chi_bounded_coloring(g, star_decomposition(g), exact_node_oracle,
+                                       ChiBoundFn.constant(g.n, 1))
+            assert is_proper(g, col)
+            for u in range(g.n):
+                if not g.adj[u]:
+                    assert col.colors[u] == 1
+                    loners += 1
+            assert all(g.adj[u] & s for s in seen for u in iter_bits(s))
+        assert loners > 10
+
     def test_fuzz_rank_decompositions(self):
         rng = random.Random(2)
         for _ in range(40):

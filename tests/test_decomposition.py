@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -556,6 +557,17 @@ def random_connected_set(rng, g):
     return s
 
 
+class ReadLog(tuple):
+    """A tuple that records, in reads, the index of every item read from it."""
+
+    def __init__(self, items):
+        self.reads = set()
+
+    def __getitem__(self, x):
+        self.reads.add(x)
+        return tuple.__getitem__(self, x)
+
+
 def assert_cut_rows_match_restriction(g, dec, s):
     """nested_cut_rows(g, s, dec.view) against the restriction of dec to s: the kept
     nodes, each one's side s - rest and kept nodes nearest below (in reverse BFS
@@ -730,6 +742,43 @@ class TestRootedViewAgainstOracles:
                 deep_sets += dec.num_nodes > 2000 and s != 0
                 wide_sets += dec.num_nodes > 600 and s.bit_count() > 200
         assert deep_sets >= 8 and wide_sets >= 4
+
+    def test_walk_reads_nothing_above_the_lowest_common_node(self):
+        """nested_cut_rows reads pre of no node strictly above the lowest node whose pre
+        holds all of s, the pass-through chain that yields nothing, and yields what it
+        yields on the plain view: on the 2,000-deep path with the vertices at its bottom,
+        on join trees, and on join trees hung 50 empty nodes below a root leaf."""
+        rng = random.Random(31)
+        g = random_graph(rng, 8)
+        tau = tuple(2000 - rng.randrange(6) for _ in range(g.n))
+        deep = tuple((i, i + 1) for i in range(2000))
+        cases = [(g, Decomposition(2001, deep, tau)), (g, Decomposition(2001, deep, tau, 0))]
+        for trial in range(60):
+            g, dec, _ = one_join_compose(random_join_tree(rng, rng.randint(2, 12), extra=3))
+            if trial % 2:
+                k = dec.num_nodes
+                chain = ((0, k),) + tuple((x, x + 1) for x in range(k, k + 50))
+                dec = Decomposition(k + 51, dec.tree_edges + chain, dec.tau, k + 50)
+            cases.append((g, dec))
+        skipped = 0
+        for g, dec in cases:
+            view = dec.view
+            for s in [g.vertex_mask] + [random_vertex_subset(rng, g.n) for _ in range(4)]:
+                if not s:
+                    continue
+                lowest = max((x for x in range(dec.num_nodes) if not s & ~view.pre[x]),
+                             key=view.depth.__getitem__)
+                above, x = set(), view.parent[lowest]
+                while x != -1:
+                    above.add(x)
+                    x = view.parent[x]
+                pre = ReadLog(view.pre)
+                assert list(nested_cut_rows(g, s, replace(view, pre=pre))) == list(
+                    nested_cut_rows(g, s, view))
+                assert not pre.reads & above
+                skipped += len(above) > 1  # the root's child is read by a walk from the root
+        assert skipped > 100
+        assert all(dec.view.tau == dec.tau for _, dec in cases)
 
     def test_rooted_parents_and_non_edges(self):
         rng = random.Random(10)
