@@ -18,8 +18,8 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from itertools import count, islice, zip_longest
 
-from .cuts import column_classes, gf2_rank, nested_cut_rows
-from .decomposition import Decomposition, RootedView, _view, decomposition_rank
+from .cuts import column_classes, nested_cut_rows
+from .decomposition import Decomposition, RootedView, _table_rank, _view, decomposition_rank
 from .errors import ContractError, InputError
 from .graph import Graph, _components, _unwind, bitset, connected_components, iter_bits, one_join
 from .oracles import (Coloring, _max_clique_size, chromatic_number, clique_number,
@@ -306,7 +306,7 @@ def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle
     before the clique search, takes its rank from them, and the key lemma on a
     connected g reuses them."""
     table = list(nested_cut_rows(g, g.vertex_mask, _view(g, dec)))
-    rank = max((gf2_rank(rows) for *_, rows in table), default=0)
+    rank = _table_rank(table)
     if rank > bound.rank_budget:
         raise ContractError(
             f"decomposition rank {rank} exceeds budget {bound.rank_budget}"

@@ -1,17 +1,20 @@
 """Cuts of vertex bipartitions: row/column classes, GF(2) rank and diversity.
 
-A single cut's rank is read straight off the adjacency.  Along the nested cuts of a
+There is one GF(2) elimination, _rank: it reads each row off a row table through a
+side mask and a column mask and eliminates it as it reads it.  gf2_rank calls it on a
+list of rows, cut_rank_of on the adjacency and the smaller side of a single cut, and
+exact_rank_width's subset search once per subset.  Along the nested cuts of a
 vertex set on a rooted decomposition's tree, nested_cut_rows finds the kept nodes by
 one pruned descent from the lowest node whose subtree holds the whole set, so the
 chain of nodes above it, which keeps nothing, is never read.  It merges each cut's row
 classes from the cuts just below it on the way back up, and column_classes refines the
-other side by them, so a cut costs its classes, not its side.  column_classes is the one reader of a cut's columns: the
-diversity of a single cut, of a CutMatrix and of a decomposition all count them
-through it."""
+other side by them, so a cut costs its classes, not its side.  column_classes is the
+one reader of a cut's columns: the diversity of a single cut, of a CutMatrix and of a
+decomposition all count them through it."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,10 +50,14 @@ def cut_matrix(g: Graph, w: int) -> CutMatrix:
     return CutMatrix(tuple(rows), row_index, col_index)
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of bitset rows, by elimination on leading bits."""
+def _rank(table: Sequence[int], side: int, cols: int) -> int:
+    """GF(2) rank of the rows table[u] & cols for u in the bitset side, each row
+    eliminated on leading bits as it is read off the table, so none is listed."""
     pivots: dict[int, int] = {}
-    for row in rows:
+    while side:
+        low = side & -side
+        row = table[low.bit_length() - 1] & cols
+        side ^= low
         while row:
             lead = row.bit_length() - 1
             pivot = pivots.get(lead)
@@ -61,9 +68,16 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of bitset rows, any iterable of them, by the one elimination
+    (_rank) with every column kept."""
+    rows = tuple(rows)
+    return _rank(rows, (1 << len(rows)) - 1, -1)
+
+
 def cut_rank(m: CutMatrix) -> int:
     """GF(2) rank of the cut matrix; 0 for an empty matrix."""
-    return gf2_rank(list(m.rows))
+    return gf2_rank(m.rows)
 
 
 def cut_diversity(m: CutMatrix) -> int:
@@ -78,19 +92,12 @@ def cut_diversity(m: CutMatrix) -> int:
 
 
 def cut_rank_of(g: Graph, w: int) -> int:
-    """Rank of the cut (w, rest), its rows read off the smaller side (a matrix and
-    its transpose have one rank) without materializing column indices."""
+    """Rank of the cut (w, rest) by the one elimination (_rank), its rows read off the
+    adjacency on the smaller side (a matrix and its transpose have one rank)."""
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
     other = g.vertex_mask & ~w  # all rows are zero when a side is empty
-    if w.bit_count() > other.bit_count():
-        w, other = other, w
-    adj, rows = g.adj, []
-    while w:
-        low = w & -w
-        rows.append(adj[low.bit_length() - 1] & other)
-        w ^= low
-    return gf2_rank(rows)
+    return _rank(g.adj, w, other) if w.bit_count() <= other.bit_count() else _rank(g.adj, other, w)
 
 
 def cut_diversity_of(g: Graph, w: int) -> int:

@@ -21,10 +21,11 @@ subsets, live here too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .config import check_ceiling
-from .cuts import column_classes, cut_rank_of, gf2_rank, nested_cut_rows
+from .cuts import _rank, column_classes, gf2_rank, nested_cut_rows
 from .errors import ContractError, InputError, StateError, ValidationError
 from .graph import Graph, induced_subgraph, iter_bits
 
@@ -164,9 +165,13 @@ def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
     raise InputError(f"({a},{b}) is not a tree edge")
 
 
+def _table_rank(table: Iterable[tuple]) -> int:
+    """The largest GF(2) rank among the cuts of a nested_cut_rows table; 0 for none."""
+    return max((gf2_rank(rows) for *_, rows in table), default=0)
+
+
 def decomposition_rank(g: Graph, d: Decomposition) -> int:
-    cuts = nested_cut_rows(g, g.vertex_mask, _view(g, d))
-    return max((gf2_rank(rows) for *_, rows in cuts), default=0)
+    return _table_rank(nested_cut_rows(g, g.vertex_mask, _view(g, d)))
 
 
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
@@ -302,7 +307,10 @@ def exact_rank_width(
     rooted tree below any of its leaves, so the width is the same for every
     choice of r.  The rest of leaf_order is not used, but leaf_order must be a
     permutation of the vertices.  The witness is built from the first optimal
-    split found for each X.  Time O(3^n), memory O(2^n).
+    split found for each X.  Each cutrank(X) is one call of the one GF(2)
+    elimination (cuts._rank) on the adjacency, its rows read off the smaller side of
+    the cut; X lies inside V by construction, so nothing is re-checked.  Time
+    O(3^n), memory O(2^n).
     """
     n = g.n
     check_ceiling("exact rank-width", n, limit, "rank_width_n")
@@ -315,13 +323,15 @@ def exact_rank_width(
         raise InputError("leaf_order must be a permutation of the vertices")
 
     root_leaf = order[0]
-    top = g.vertex_mask & ~(1 << root_leaf)
+    adj, full, half = g.adj, g.vertex_mask, n // 2
+    top = full & ~(1 << root_leaf)
     width = [0] * (1 << n)
     split = [0] * (1 << n)  # for |X| >= 2, the side A of an optimal split of X
     x = 0
     while x != top:  # nonempty subsets of top in increasing order, so A < X
         x = (x - top) & top
-        r = cut_rank_of(g, x)
+        # the cut rank of X, its rows read off the smaller side
+        r = _rank(adj, x, full ^ x) if x.bit_count() <= half else _rank(adj, full ^ x, x)
         low = x & -x
         if x != low:
             # A holds the lowest vertex of X, so each split is tried once; a
@@ -336,7 +346,8 @@ def exact_rank_width(
                 if (wa := width[a]) < best and (wb := width[x ^ a]) < best:
                     best = wa if wa > wb else wb
                     split[x] = a
-            r = max(r, best)
+            if best > r:
+                r = best
         width[x] = r
 
     # Node ids: leaves are the vertex ids, internals are allocated at n..2n-3.

@@ -15,10 +15,15 @@ from rankchi import (
     cut_rank,
     cut_rank_of,
     cycle,
+    decomposition_diversity,
+    decomposition_rank,
+    exact_rank_width,
+    gf2_rank,
     iter_bits,
+    local_complement,
 )
-from rankchi.cuts import column_classes, nested_cut_rows
-from rankchi.generate import random_graph
+from rankchi.cuts import _rank, column_classes, nested_cut_rows
+from rankchi.generate import random_decomposition, random_graph
 
 from helpers import (
     matrix_of_cut,
@@ -76,6 +81,137 @@ class TestCutRank:
             assert got == want
 
 
+class TestOneElimination:
+    def test_against_naive_elimination(self):
+        """_rank(table, side, cols), the rank of table[u] & cols for u in side, against
+        the textbook elimination on random row tables and random side and column
+        masks, among them an empty side, cols of -1 and of 0 and rows with bits outside
+        cols."""
+        rng = random.Random(26)
+        seen = set()
+        for trial in range(1500):
+            k, width = rng.randint(0, 12), rng.randint(0, 16)
+            table = tuple(rng.getrandbits(width) for _ in range(k))
+            side = 0 if trial % 10 == 0 else random_vertex_subset(rng, k)
+            cols = (-1, 0, rng.getrandbits(width))[trial % 3]
+            rows = [table[u] & cols for u in iter_bits(side)]
+            want = naive_gf2_rank([[row >> j & 1 for j in range(width)] for row in rows])
+            assert _rank(table, side, cols) == want
+            if not side:
+                seen.add("empty side")
+            if cols in (-1, 0):
+                seen.add(f"cols {cols}")
+            if any(table[u] & ~cols for u in iter_bits(side)) and cols != -1:
+                seen.add("bits outside cols")
+        assert seen == {"empty side", "cols -1", "cols 0", "bits outside cols"}
+
+    def test_gf2_rank_takes_any_iterable(self):
+        rows = [0b011, 0b101, 0b110, 0b1000]  # the first three span a plane
+        assert gf2_rank(rows) == 3
+        assert gf2_rank(row for row in rows) == 3  # a one-shot generator
+        assert gf2_rank(dict.fromkeys(rows, "part").keys()) == 3
+        assert gf2_rank(iter(())) == 0
+
+
+def _twin_blow_up(rng: random.Random, n: int, classes: int, flips: int) -> Graph:
+    """n vertices dealt into twin classes over a random graph on the classes (a class
+    adjacent to itself is a clique), then flips random vertex pairs toggled: every cut
+    rank is at most classes + flips, so cuts of a large graph stay cheap to eliminate."""
+    base = random_graph(rng, classes, 0.5)
+    loops = [rng.random() < 0.5 for _ in range(classes)]
+    of = [rng.randrange(classes) for _ in range(n)]
+    members = [0] * classes
+    for u, c in enumerate(of):
+        members[c] |= 1 << u
+    reach = [members[c] if loops[c] else 0 for c in range(classes)]
+    for c in range(classes):
+        for d in iter_bits(base.adj[c]):
+            reach[c] |= members[d]
+    adj = [reach[c] & ~(1 << u) for u, c in enumerate(of)]
+    for _ in range(flips):
+        u, v = rng.sample(range(n), 2)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return Graph(n, tuple(adj))
+
+
+class TestCutRankTheory:
+    """Properties of cut-rank that need no second implementation: invariance under local
+    complementation (Oum, "Rank-width and vertex-minors", JCTB 95, 2005), symmetry and
+    submodularity (Oum & Seymour, JCTB 96, 2006).  Each also asserts that the ranks it
+    compared were not all alike, so that a routine answering a constant cannot pass."""
+
+    def test_local_complementation_keeps_cut_ranks(self):
+        rng = random.Random(15)
+        ranks, diversity_moved = set(), False
+        for _ in range(200):
+            n = rng.randint(2, 40)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            d = random_decomposition(rng, g, rng.randint(2, 12))
+            h = g
+            for _ in range(rng.randint(1, 5)):
+                h = local_complement(h, rng.randrange(n))
+            rank = decomposition_rank(g, d)
+            assert decomposition_rank(h, d) == rank
+            ranks.add(rank)
+            diversity_moved |= decomposition_diversity(h, d) != decomposition_diversity(g, d)
+            for _ in range(5):
+                w = random_vertex_subset(rng, n)
+                r = cut_rank_of(g, w)
+                assert cut_rank_of(h, w) == r
+                ranks.add(r)
+        assert diversity_moved and len(ranks) > 3
+
+    def test_local_complementation_keeps_rank_width(self):
+        rng = random.Random(16)
+        widths = set()
+        for i in range(12):
+            n = 8 + i % 3
+            g = random_graph(rng, n, (0.15, 0.3, 0.5, 0.7)[i % 4])
+            h = g
+            for _ in range(rng.randint(1, 5)):
+                h = local_complement(h, rng.randrange(n))
+            width = exact_rank_width(g)[0]
+            assert exact_rank_width(h)[0] == width
+            widths.add(width)
+        assert len(widths) > 1
+
+    @staticmethod
+    def _large_graph_and_sets(seed: int) -> tuple[Graph, list[int]]:
+        """A seeded 1,200-vertex graph and vertex sets of every size, small ones
+        included, each followed by a copy with 1 to 20 vertices toggled."""
+        rng = random.Random(seed)
+        n = 1200
+        g = _twin_blow_up(rng, n, 10, 12)
+        sets = []
+        for size in [rng.randint(1, 40) for _ in range(6)] + [rng.randint(1, n - 1) for _ in range(6)]:
+            x = bitset(rng.sample(range(n), size))
+            sets.append(x)
+            sets.append(x ^ bitset(rng.sample(range(n), rng.randint(1, 20))))
+        return g, sets
+
+    def test_symmetric_at_n_1200(self):
+        """rho(X) = rho(V - X), through cut_rank_of and through the elimination reading
+        the rows off either side."""
+        g, sets = self._large_graph_and_sets(17)
+        full, ranks = g.vertex_mask, set()
+        for x in sets:
+            r = cut_rank_of(g, x)
+            assert r == cut_rank_of(g, full ^ x)
+            assert r == _rank(g.adj, x, full ^ x) == _rank(g.adj, full ^ x, x)
+            ranks.add(r)
+        assert len(ranks) > 3
+
+    def test_submodular_at_n_1200(self):
+        """rho(X) + rho(Y) >= rho(X & Y) + rho(X | Y) on every pair of the sets."""
+        g, sets = self._large_graph_and_sets(18)
+        rank = {x: cut_rank_of(g, x) for x in sets}
+        for i, x in enumerate(sets):
+            for y in sets[i + 1:]:
+                assert rank[x] + rank[y] >= cut_rank_of(g, x & y) + cut_rank_of(g, x | y)
+        assert len(set(rank.values())) > 3
+
+
 class TestCutDiversity:
     def test_all_ones(self):
         m = CutMatrix((0b11111,) * 3, (0, 1, 2), (3, 4, 5, 6, 7))
@@ -114,8 +250,9 @@ class TestCutClasses:
             assert cut_diversity_of(g, w) == naive_cut_diversity(g, w)
 
     def test_side_outside_the_graph(self):
-        with pytest.raises(InputError, match="^cut side contains vertices outside the graph$"):
-            cut_diversity_of(complete(3), bitset([3]))
+        for reader in (cut_diversity_of, cut_rank_of):
+            with pytest.raises(InputError, match="^cut side contains vertices outside the graph$"):
+                reader(complete(3), bitset([3]))
 
 
 class TestDiversityReaders:
@@ -186,7 +323,8 @@ class TestProperties:
 
     def test_larger_side_read_through_the_smaller(self):
         """A side larger than half is read as the transposed cut; its rank is the
-        rank of the cut matrix and of the cut from the other side."""
+        rank of the cut matrix, of the cut from the other side and of the elimination
+        passed the larger side as side."""
         rng = random.Random(6)
         for _ in range(500):
             n = rng.randint(3, 12)
@@ -196,6 +334,7 @@ class TestProperties:
             r = cut_rank_of(g, w)
             assert r == naive_gf2_rank(matrix_of_cut(g, side))
             assert r == cut_rank_of(g, g.vertex_mask & ~w)
+            assert r == _rank(g.adj, w, g.vertex_mask & ~w)
 
     def test_complement_gives_transpose(self):
         rng = random.Random(5)
