@@ -80,6 +80,15 @@ def _parse_bound(f_spec: str, r: int) -> ChiBoundFn:
     return ChiBoundFn(table, r)
 
 
+def _bound_text(m: int, shift: int) -> str:
+    """B = m << shift in decimal while it fits Python's int-to-str limit (4300 when off),
+    else 2^shift*m, m in hex past it too; B is built only once known to fit."""
+    top = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+    if m < -(-top >> shift):  # m << shift < top, the least integer past the limit
+        return str(m << shift)
+    return f"2^{shift}*{m if m < top else hex(m)}"
+
+
 def cmd_cutrank(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     w = _parse_vertex_set(args.set, g.n)
@@ -102,19 +111,14 @@ def cmd_color(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     dec = io.decomposition_from_text(_read(args.decomposition), g.n)
     bound = _parse_bound(args.f, args.r)
-    coloring, omega, b = _coloring_and_omega(g, dec, exact_node_oracle, bound, False)
-    # _coloring_and_omega raises ContractError unless the coloring is proper
-    # and within b = color_bound(bound, max(omega, 1)), so both checks reported
-    # below have passed
+    coloring, omega, (m, shift) = _coloring_and_omega(g, dec, exact_node_oracle, bound, False)
+    # _coloring_and_omega raises ContractError unless the coloring is proper and within
+    # B(max(omega, 1)) = m << shift, so both checks reported below have passed
     out = args.out or args.graph + ".coloring"
     Path(out).write_text(io.coloring_to_text(coloring))
     print(f"omega={omega}")
     print(f"palette={coloring.palette_size}")
-    try:
-        b_text = str(b)
-    except ValueError:  # too many digits for int-to-str conversion; hex has no limit
-        b_text = hex(b)
-    print(f"bound={b_text}")
+    print(f"bound={_bound_text(m, shift)}")
     print("check:proper=pass")
     print("check:palette_within_bound=pass")
     print(f"coloring={out}")

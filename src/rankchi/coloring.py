@@ -21,7 +21,8 @@ from itertools import count, islice, zip_longest
 from .cuts import column_classes, nested_cut_rows
 from .decomposition import Decomposition, RootedView, _table_rank, _view, decomposition_rank
 from .errors import ContractError, InputError
-from .graph import Graph, _components, _unwind, bitset, connected_components, iter_bits, one_join
+from .graph import (Graph, _classes, _components, _unwind, bitset, connected_components, iter_bits,
+                    one_join)
 from .oracles import (Coloring, _max_clique_size, chromatic_number, clique_number,
                       greedy_coloring, is_proper)
 
@@ -76,12 +77,18 @@ class ChiBoundFn:
 
 
 def color_bound(bound: ChiBoundFn, s: int) -> int:
-    """Palette bound B(s) of the recursion: B(1)=1, B(s)=2^r (f(s)+1) B(s-1), that is
-    B(s) = 2^{r(s-1)} prod_{i=2..s} (f(i)+1), its power of two one shift at the end:
-    linear in r(s-1), where a product level by level is quadratic."""
+    """Palette bound B(s) = M << N of the recursion, (M, N) = _bound_parts(bound, s): its
+    power of two one shift, linear in N, where a product level by level is quadratic."""
+    m, shift = _bound_parts(bound, s)
+    return m << shift
+
+
+def _bound_parts(bound: ChiBoundFn, s: int) -> tuple[int, int]:
+    """B(1)=1, B(s)=2^r (f(s)+1) B(s-1) as (M, N), B(s) = M·2^N: M = prod_{i=2..s}
+    (f(i)+1) and N = r(s-1).  The one source of B; the coloring path never builds it."""
     if s < 1:
         raise InputError("clique number must be at least 1")
-    return math.prod(bound(i) + 1 for i in range(2, s + 1)) << bound.rank_budget * (s - 1)
+    return math.prod(bound(i) + 1 for i in range(2, s + 1)), bound.rank_budget * (s - 1)
 
 
 def _piece_quotient(
@@ -98,9 +105,7 @@ def _piece_quotient(
     for c in below:
         for row, part in cuts[c][0].items():
             groups[row] = groups.get(row, 0) | part
-    for u in iter_bits(view.own[v] & s):
-        row = g.adj[u] & s
-        groups[row] = groups.get(row, 0) | 1 << u
+    _classes(g.adj, view.own[v] & s, s, groups)
     isolated = groups.get(0, 0)
     ordered = sorted(groups.items(), key=lambda item: item[1] & -item[1])
     bit = {part & -part: 1 << i for i, (_, part) in enumerate(ordered)}  # smallest member -> bit
@@ -163,8 +168,8 @@ def _key_lemma(
     walked, the root among them unless it passes through: a pass-through node colors
     nothing and is the origin of no edge.  One bottom-up pass finds them and merges
     their cuts' rows, whose classes give the diversity, outside classes and piece twin
-    quotients.  The steps run in BFS order: a step colors V_v alone, so any order with
-    ancestors first gives the same colors, and BFS order fixes the node a refusal names.
+    quotients.  The steps run in the view's BFS order: a step colors V_v alone, so any
+    order with ancestors first gives the same colors, and this one fixes the refusal.
     answers maps a quotient's rows to the oracle's verified coloring; k is checked on every use.
     table, when given, is the output of nested_cut_rows(g, s, dec.view), read already."""
     if d < 1:
@@ -298,10 +303,11 @@ def chi_bounded_coloring(
     return _coloring_and_omega(g, dec, oracle, bound, check)[0]
 
 
-def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle,
-                        bound: ChiBoundFn, check: bool) -> tuple[Coloring, int, int]:
+def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle, bound: ChiBoundFn,
+                        check: bool) -> tuple[Coloring, int, tuple[int, int]]:
     """chi_bounded_coloring's coloring, omega(g), which it searches once, and the
-    palette bound color_bound(bound, max(omega, 1)) it was checked against.  The nested
+    palette bound (M, N) = _bound_parts(bound, max(omega, 1)) it was checked against,
+    as ceil(palette / 2^N) <= M, with no B built.  The nested
     cut rows of the whole vertex set are read once: the rank check, which refuses
     before the clique search, takes its rank from them, and the key lemma on a
     connected g reuses them."""
@@ -314,12 +320,12 @@ def _coloring_and_omega(g: Graph, dec: Decomposition, oracle: NodeColoringOracle
     omega = clique_number(g)
     masks = _color_recursive(g, dec, oracle, bound, check, omega + 1, table)
     result = _coloring_of(masks, g.n)
-    b = color_bound(bound, max(omega, 1))
+    m, shift = _bound_parts(bound, max(omega, 1))
     if not is_proper(g, result):
         raise ContractError("constructed coloring is not proper")
-    if result.palette_size > b:
+    if -(-result.palette_size >> shift) > m:
         raise ContractError("constructed coloring exceeds the color bound")
-    return result, omega, b
+    return result, omega, (m, shift)
 
 
 def _color_recursive(
@@ -342,6 +348,7 @@ def _color_recursive(
     One answers dict, _key_lemma's piece-oracle cache, serves the whole recursion."""
 
     adj, whole, answers = g.adj, g.vertex_mask, {}
+    budget = 1 << min(bound.rank_budget, g.n.bit_length())
 
     def color(s: int, claim: int) -> Generator:
         isolated, left = 0, s
@@ -355,8 +362,8 @@ def _color_recursive(
             if claim < 2 or check and _max_clique_size(adj, comp, claim) > claim:
                 raise ContractError("a color class kept the clique number")
             line: list[int] = []  # the component's classes, its parts' end to end
-            # _key_lemma measures the diversity against the budget 2^r
-            for part in _key_lemma(g, dec, comp, oracle, 1 << bound.rank_budget, bound(claim),
+            # _key_lemma measures the diversity against the budget 2^r, capped past n
+            for part in _key_lemma(g, dec, comp, oracle, budget, bound(claim),
                                    check, answers, table if comp == whole else None):
                 line += (yield color(part, claim - 1)) if part & (part - 1) else [part]
             masks = [a | b for a, b in zip_longest(masks, line, fillvalue=0)]

@@ -10,7 +10,7 @@ chain of nodes above it, which keeps nothing, is never read.  It merges each cut
 classes from the cuts just below it on the way back up, and column_classes refines the
 other side by them, so a cut costs its classes, not its side.  column_classes is the
 one reader of a cut's columns: the diversity of a single cut, of a CutMatrix and of a
-decomposition all count them through it."""
+decomposition all count them through it, and graph._classes groups every cut's rows."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ContractError, InputError
-from .graph import Graph, iter_bits
+from .graph import Graph, _classes, iter_bits
 
 if TYPE_CHECKING:
     from .decomposition import RootedView
@@ -84,9 +84,7 @@ def cut_diversity(m: CutMatrix) -> int:
     """max(#distinct rows, #distinct columns); 0 for an empty matrix."""
     if not m.rows or not m.col_index:
         return 0
-    rows: dict[int, int] = {}
-    for i, row in enumerate(m.rows):
-        rows[row] = rows.get(row, 0) | 1 << i
+    rows = _classes(m.rows, (1 << len(m.rows)) - 1, -1)
     cols = column_classes(rows, (1 << len(m.col_index)) - 1, len(m.rows) + len(m.col_index))
     return max(len(rows), len(cols))
 
@@ -105,10 +103,7 @@ def cut_diversity_of(g: Graph, w: int) -> int:
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
     rest = g.vertex_mask & ~w
-    rows: dict[int, int] = {}
-    for u in iter_bits(w):
-        row = g.adj[u] & rest
-        rows[row] = rows.get(row, 0) | 1 << u
+    rows = _classes(g.adj, w, rest)
     cols = column_classes(rows, rest, g.n)
     return max(len(rows), len(cols)) if rows and cols else 0
 
@@ -145,12 +140,7 @@ def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, t
                 for row, part in rows_of.pop(c).items():
                     row &= rest
                     rows[row] = rows.get(row, 0) | part
-            while mine:
-                low = mine & -mine
-                row = adj[low.bit_length() - 1] & rest
-                rows[row] = rows.get(row, 0) | low
-                mine ^= low
-            yield x, tuple(nodes), rest, rows
+            yield x, tuple(nodes), rest, _classes(adj, mine, rest, rows)
             nodes = [x]
         if (up := parent[x]) in below:  # the root's parent, -1, is never read
             below[up] += nodes

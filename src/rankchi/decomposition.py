@@ -6,10 +6,12 @@ graph; the rank/diversity of the decomposition is the maximum over its edges.
 
 All cuts, pieces, outside classes and origins are read off one rooted view
 (Decomposition.view), built with the decomposition by a single breadth-first pass
-from the root, or node 0 when unrooted.  Every tree edge is (parent[v], v) with cut
-pre[v], the vertices mapped into the subtree at v, so a piece graph takes one bitset
-mask per vertex; rank and diversity merge the rows of the kept nodes bottom-up
-(cuts.nested_cut_rows), diversity refining each cut's columns by them
+from the root, or node 0 when unrooted, its children by the lowest vertex below them:
+every walk, and so which refusal comes first, is fixed by g, tau and the root, not by
+node ids.  Every tree edge is (parent[v], v) with cut pre[v], the vertices mapped into
+the subtree at v, so a piece graph takes one bitset mask per vertex; rank and diversity
+merge the rows of the kept nodes bottom-up (cuts.nested_cut_rows), diversity refining
+each cut's columns by them
 (cuts.column_classes).  The coloring recursion reads each vertex set s of the graph
 off that same view: nested_cut_rows climbs from tau of the lowest vertex of s to the
 lowest node whose pre holds s and descends from there only into the subtrees whose pre
@@ -27,22 +29,20 @@ from dataclasses import dataclass, replace
 from .config import check_ceiling
 from .cuts import _rank, column_classes, gf2_rank, nested_cut_rows
 from .errors import ContractError, InputError, StateError, ValidationError
-from .graph import Graph, induced_subgraph, iter_bits
+from .graph import Graph, _classes, induced_subgraph, iter_bits
 
 
 @dataclass(frozen=True)
 class RootedView:
-    """The tree rooted at root by a BFS over ascending adj; parent[root] is -1.
+    """The rooted tree, parent -1 at the root and children by the lowest vertex mapped
+    below them (none first), so node x has degree len(children[x]) + (parent[x] >= 0).
 
     tau is the decomposition's, pre[x] the bitset of vertices mapped into the subtree
     at x and own[x] those mapped to x.  A vertex set s is read off the same view, as
     pre[x] & s and own[x] & s, from the lowest node whose pre holds s: the first one
     with no vertex of s outside its pre on the climb from tau of the lowest vertex of s."""
 
-    root: int
-    adj: tuple[tuple[int, ...], ...]
     parent: tuple[int, ...]
-    depth: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     tau: tuple[int, ...]
     pre: tuple[int, ...]
@@ -52,28 +52,22 @@ class RootedView:
 def _root_tree(
     num_nodes: int, tree_edges: tuple[tuple[int, int], ...], root: int, tau: tuple[int, ...]
 ) -> RootedView:
-    """The tree rooted at root, with pre and own of tau, by one breadth-first pass;
-    raises InputError unless the edges form a tree."""
+    """The tree rooted at root, with pre and own of tau, by one breadth-first pass, the
+    children then sorted by pre; raises InputError unless the edges form a tree."""
     adj: list[list[int]] = [[] for _ in range(num_nodes)]
     for a, b in tree_edges:
         if not (0 <= a < num_nodes and 0 <= b < num_nodes) or a == b:
             raise InputError(f"bad tree edge ({a},{b})")
         adj[a].append(b)
         adj[b].append(a)
-    for nbrs in adj:
-        nbrs.sort()
-    parent = [-1] * num_nodes
-    depth = [0] * num_nodes
+    parent = [-2] * num_nodes  # -2 until reached
+    parent[root] = -1
     children: list[list[int]] = [[] for _ in range(num_nodes)]
-    seen = [False] * num_nodes
-    seen[root] = True
     order = [root]
     for x in order:
         for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
+            if parent[y] == -2:
                 parent[y] = x
-                depth[y] = depth[x] + 1
                 children[x].append(y)
                 order.append(y)
     if len(order) != num_nodes:
@@ -84,16 +78,10 @@ def _root_tree(
     own = tuple(pre)
     for x in reversed(order[1:]):
         pre[parent[x]] |= pre[x]
-    return RootedView(
-        root,
-        tuple(map(tuple, adj)),
-        tuple(parent),
-        tuple(depth),
-        tuple(map(tuple, children)),
-        tau,
-        tuple(pre),
-        own,
-    )
+    for nodes in children:
+        if len(nodes) > 1:
+            nodes.sort(key=lambda c: pre[c] & -pre[c])
+    return RootedView(tuple(parent), tuple(map(tuple, children)), tau, tuple(pre), own)
 
 
 @dataclass(frozen=True)
@@ -124,7 +112,7 @@ class Decomposition:
         view = _root_tree(k, self.tree_edges, 0 if self.root is None else self.root, self.tau)
         object.__setattr__(self, "view", view)
         if self.root is not None:
-            if len(view.adj[self.root]) > 1:
+            if len(view.children[self.root]) > 1:
                 raise InputError("root must be a leaf")
             if view.own[self.root]:
                 raise InputError("root leaf must have an empty preimage")
@@ -157,11 +145,9 @@ def edge_cut(g: Graph, d: Decomposition, e: tuple[int, int]) -> tuple[int, int]:
     view = _view(g, d)
     if 0 <= a < d.num_nodes and 0 <= b < d.num_nodes:
         if view.parent[b] == a:
-            side_b = view.pre[b]
-            return g.vertex_mask & ~side_b, side_b
+            return g.vertex_mask & ~view.pre[b], view.pre[b]
         if view.parent[a] == b:
-            side_a = view.pre[a]
-            return side_a, g.vertex_mask & ~side_a
+            return view.pre[a], g.vertex_mask & ~view.pre[a]
     raise InputError(f"({a},{b}) is not a tree edge")
 
 
@@ -205,7 +191,12 @@ def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
 def rooted_parents(d: Decomposition) -> tuple[list[int], list[int]]:
     """Parent and depth arrays of the rooted tree; requires a root."""
     view = _rooted(d).view
-    return list(view.parent), list(view.depth)
+    depth, order = [0] * d.num_nodes, [d.root]
+    for x in order:
+        for c in view.children[x]:
+            depth[c] = depth[x] + 1
+            order.append(c)
+    return list(view.parent), depth
 
 
 def origin(d: Decomposition, u: int, w: int) -> int:
@@ -236,10 +227,7 @@ def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
         raise InputError(f"node {v} out of range")
     if v == d.root:
         raise InputError("outside partition is undefined at the root")
-    inside, rows = view.pre[v], {}
-    for u in iter_bits(inside):
-        row = g.adj[u] & ~inside
-        rows[row] = rows.get(row, 0) | 1 << u
+    rows = _classes(g.adj, view.pre[v], ~view.pre[v])
     return [rows.pop(0, 0)] + [rows[row] for row in sorted(rows)]
 
 
@@ -260,7 +248,8 @@ def root_normalize(d: Decomposition) -> Decomposition:
     if d.root is not None:
         return d
     view, fresh = d.view, d.num_nodes
-    root = next((v for v in range(fresh) if len(view.adj[v]) <= 1 and not view.own[v]), fresh)
+    root = next((v for v in range(fresh)
+                 if len(view.children[v]) + (view.parent[v] >= 0) <= 1 and not view.own[v]), fresh)
     edges = d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
     return Decomposition(len(edges) + 1, edges, d.tau, root)
 
@@ -276,18 +265,17 @@ def star_decomposition(g: Graph) -> Decomposition:
 
 def validate_rank_decomposition(g: Graph, d: Decomposition) -> RankDecomposition:
     """Check the cubic-tree/leaf-bijection shape and report the width."""
-    adj = d.view.adj
-    leaves = {v for v in range(d.num_nodes) if len(adj[v]) <= 1}
+    degree = [len(nodes) + (up >= 0) for nodes, up in zip(d.view.children, d.view.parent)]
+    leaves = {v for v in range(d.num_nodes) if degree[v] <= 1}
     for v in range(d.num_nodes):
-        if v not in leaves and len(adj[v]) != 3:
-            raise ValidationError(f"inner node {v} has degree {len(adj[v])}, expected 3")
+        if v not in leaves and degree[v] != 3:
+            raise ValidationError(f"inner node {v} has degree {degree[v]}, expected 3")
     if len(set(d.tau)) != len(d.tau):
         raise ValidationError("tau is not injective")
     for v, node in enumerate(d.tau):
         if node not in leaves:
             raise ValidationError(f"vertex {v} is mapped to inner node {node}")
-    uncovered = leaves - set(d.tau)
-    if uncovered:
+    if uncovered := leaves - set(d.tau):
         raise ValidationError(f"leaves {sorted(uncovered)} carry no vertex")
     return RankDecomposition(d, decomposition_rank(g, d))
 

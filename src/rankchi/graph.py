@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Generator, Iterable, Iterator
+from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -28,6 +28,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _classes(table: Sequence[int], side: int, cols: int, into: dict | None = None) -> dict:
+    """Each distinct row table[u] & cols, u in the bitset side, mapped to the bitset of the
+    u having it, grouped into the dict into when one is given: the one routine grouping
+    vertices by row, reading rows through the masks that cuts._rank reads them through."""
+    groups = {} if into is None else into
+    while side:
+        low = side & -side
+        row = table[low.bit_length() - 1] & cols
+        groups[row] = groups.get(row, 0) | low
+        side ^= low
+    return groups
 
 
 def _unwind(top: Generator) -> Any:
@@ -150,10 +163,7 @@ def twin_classes(g: Graph) -> list[int]:
 
     Classes are returned as bitsets ordered by their smallest member.
     """
-    groups: dict[int, int] = {}
-    for v in range(g.n):
-        groups[g.adj[v]] = groups.get(g.adj[v], 0) | (1 << v)
-    return sorted(groups.values(), key=lambda m: m & -m)
+    return sorted(_classes(g.adj, g.vertex_mask, -1).values(), key=lambda m: m & -m)
 
 
 def local_complement(g: Graph, v: int) -> Graph:

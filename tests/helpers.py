@@ -197,6 +197,16 @@ def cocktail_party(k: int) -> Graph:
     return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if a // 2 != b // 2])
 
 
+def naive_classes(table, side: int, cols: int) -> dict[int, int]:
+    """The members u of side listed one at a time and grouped by table[u] & cols, each
+    group then summed into a bitset: {row: vertices of side with that row}."""
+    members: dict[int, list[int]] = {}
+    for u in range(len(table)):
+        if side >> u & 1:
+            members.setdefault(table[u] & cols, []).append(u)
+    return {row: sum(1 << u for u in us) for row, us in members.items()}
+
+
 def random_vertex_subset(rng: random.Random, n: int) -> int:
     return rng.randrange(1 << n) if n else 0
 

@@ -18,6 +18,7 @@ from rankchi import (
     complete,
     cycle,
     path_graph,
+    star_decomposition,
     validate_rank_decomposition,
     wheel,
 )
@@ -28,6 +29,7 @@ from rankchi.generate import random_graph
 from rankchi.io import (
     coloring_from_text,
     decomposition_from_text,
+    decomposition_to_text,
     graph_from_text,
     graph_to_text,
     join_tree_from_text,
@@ -229,9 +231,10 @@ class TestColor:
         assert "omega=1" in lines and "palette=1" in lines and "bound=1" in lines
         assert "check:proper=pass" in lines
 
-    def test_bound_past_the_int_to_str_limit_printed_in_hex(self, tmp_path, capsys):
+    def test_bound_past_the_int_to_str_limit_printed_as_a_power(self, tmp_path, capsys):
         """B(omega) at r = 100000 has over 30,000 decimal digits, more than
-        CPython's default int-to-str limit of 4,300, so it is printed as 0x..."""
+        CPython's default int-to-str limit of 4,300, so it is printed as 2^N*M, with
+        N = r(omega - 1) and M = (f + 1)^(omega - 1)."""
         prefix = str(tmp_path / "rw")
         assert main(["gen", "--mode", "rw", "--n", "8", "--seed", "42", "--out", prefix]) == 0
         capsys.readouterr()
@@ -243,7 +246,49 @@ class TestColor:
         (value,) = [line.split("=", 1)[1] for line in lines if line.startswith("bound=")]
         omega = clique_number(graph_from_text((tmp_path / "rw.graph").read_text()))
         assert omega >= 2
-        assert int(value, 0) == naive_color_bound(ChiBoundFn.constant(3, 100000), omega)
+        shift, m = 100000 * (omega - 1), 4 ** (omega - 1)
+        assert value == f"2^{shift}*{m}"
+        assert m << shift == naive_color_bound(ChiBoundFn.constant(3, 100000), omega)
+
+    def test_huge_rank_budget_builds_no_integer_of_its_size(self, tmp_path, capsys):
+        """K3 at r = 10^8: B(3) = 16·2^(2·10^8) and the key lemma's budget 2^r took
+        127 MB together, with B's hex text.  Neither is built now: the command colors
+        with 3 colors and allocates under 50 MB, as it does at r = 10^11 (CI's Huge-r
+        smoke), an r whose integers would take 37 GB, too much to risk in process."""
+        gpath = write_graph(tmp_path, complete(3))
+        (tmp_path / "star.dec").write_text(decomposition_to_text(star_decomposition(complete(3))))
+        tracemalloc.start()
+        try:
+            code = main(["color", gpath, str(tmp_path / "star.dec"), "--f", "const:3",
+                         "--r", "100000000", "-o", str(tmp_path / "out.col")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and peak < 50 << 20
+        assert "palette=3" in lines and "bound=2^200000000*16" in lines
+
+    def test_bound_text_decimal_exactly_while_it_fits(self, monkeypatch):
+        """_bound_text prints B = m << shift in decimal exactly when str(B) has no more
+        digits than the int-to-str limit in force (4,300 when it is off), on either side
+        of that limit, and m in hex once m alone is past it."""
+        rng = random.Random(3)
+        for limit in (0, 1000, 4300):
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+            digits = limit or 4300
+            decimal = power = 0
+            for _ in range(200):
+                m = rng.randrange(1, 1 << rng.randint(1, 64))
+                shift = max(0, int(digits * 3.3219) - m.bit_length() + rng.randint(-3, 3))
+                b = m << shift
+                fits = b < 10 ** digits  # str(b) has at most digits digits
+                assert cli._bound_text(m, shift) == (str(b) if fits else f"2^{shift}*{m}")
+                decimal += fits
+                power += not fits
+            assert decimal > 20 and power > 20
+            assert cli._bound_text(10 ** digits - 1, 0) == str(10 ** digits - 1)
+            assert cli._bound_text(10 ** digits, 0) == f"2^0*{hex(10 ** digits)}"
+        assert cli._bound_text(1, 0) == "1" and cli._bound_text(16, 4) == "256"
 
 
 class TestSharedParser:

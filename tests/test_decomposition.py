@@ -571,7 +571,8 @@ class ReadLog(tuple):
 def assert_cut_rows_match_restriction(g, dec, s):
     """nested_cut_rows(g, s, dec.view) against the restriction of dec to s: the kept
     nodes, each one's side s - rest and kept nodes nearest below (in reverse BFS
-    order, so by descending child id), and the rows and the columns refined from them,
+    order, so by the descending lowest vertex of dec below the child they lie under),
+    and the rows and the columns refined from them,
     read one matrix entry at a time in g[s]; a pass-through node has the side of the
     kept node below it, so repeats its cut.  Each kept node comes before the kept node
     above it, so the walk, the output reversed, has the one above first.  Returns the
@@ -580,6 +581,7 @@ def assert_cut_rows_match_restriction(g, dec, s):
     h, sub, remap = restrict(g, dec, s)
     parent = naive_parents(sub)[0]
     pre, kept = naive_subtree_preimages(sub), naive_kept_nodes(sub)
+    whole = naive_subtree_preimages(dec)  # siblings go by the lowest vertex of dec below them
 
     def in_h(mask):
         return bitset(map(remap.get, iter_bits(mask)))
@@ -590,8 +592,9 @@ def assert_cut_rows_match_restriction(g, dec, s):
     merged = {}
     for v, below, rest, rows in out:
         assert rest == s & ~dec.view.pre[v] and in_h(s & ~rest) == pre[v]
-        assert below == tuple(reversed([kept[c] for c in range(dec.num_nodes)
-                                        if parent[c] == v and c in kept]))
+        children = [c for c in range(dec.num_nodes) if parent[c] == v and c in kept]
+        children.sort(key=lambda c: whole[c] & -whole[c])
+        assert below == tuple(kept[c] for c in reversed(children))
         x = parent[v]  # the kept node above v, if any
         while x != -1 and kept[x] != x:
             x = parent[x]
@@ -762,12 +765,12 @@ class TestRootedViewAgainstOracles:
             cases.append((g, dec))
         skipped = 0
         for g, dec in cases:
-            view = dec.view
+            view, depth = dec.view, naive_parents(dec)[1]
             for s in [g.vertex_mask] + [random_vertex_subset(rng, g.n) for _ in range(4)]:
                 if not s:
                     continue
                 lowest = max((x for x in range(dec.num_nodes) if not s & ~view.pre[x]),
-                             key=view.depth.__getitem__)
+                             key=depth.__getitem__)
                 above, x = set(), view.parent[lowest]
                 while x != -1:
                     above.add(x)

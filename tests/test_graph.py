@@ -24,6 +24,9 @@ from rankchi import (
     wheel,
 )
 from rankchi.generate import random_graph
+from rankchi.graph import _classes
+
+from helpers import naive_classes
 
 
 def graphs(max_n=8):
@@ -96,6 +99,38 @@ class TestTwinClasses:
             for mask in twin_classes(g):
                 for u, v in g.edges():
                     assert not (mask >> u & 1 and mask >> v & 1)
+
+
+class TestClasses:
+    def test_matches_the_naive_grouping(self):
+        """_classes(table, side, cols) against grouping the members of side one at a
+        time, on random tables with bits past cols, including an empty side and cols
+        of -1, of 0 and of a negative ~mask, and grouping into a dict passed in: the
+        dict itself comes back, each class it held grown by the new members."""
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(1500):
+            n = rng.randint(0, 20)
+            table = tuple(rng.randrange(1 << rng.randint(0, 24)) for _ in range(n))
+            side = rng.randrange(1 << n) if n and rng.random() < 0.9 else 0
+            mask = rng.randrange(1 << 24)
+            cols = rng.choice((-1, 0, mask, ~mask))
+            kind = "-1" if cols == -1 else "0" if cols == 0 else "~mask" if cols < 0 else "mask"
+            seen.update({kind, "empty side" if not side else "side"})
+            expected = naive_classes(table, side, cols)
+            assert _classes(table, side, cols) == expected
+            first = rng.randrange(1 << n) if n else 0  # grouped already, into a dict
+            into = naive_classes(table, first & ~side, cols)
+            assert _classes(table, side, cols, into) is into
+            assert into == naive_classes(table, first & ~side | side, cols)
+            seen.add("into")
+        assert seen == {"-1", "0", "mask", "~mask", "empty side", "side", "into"}
+
+    def test_empty_side_leaves_into_as_it_was(self):
+        into = {5: 0b11}
+        assert _classes((1, 2, 3), 0, -1) == {}
+        assert _classes((1, 2, 3), 0, -1, into) is into and into == {5: 0b11}
+        assert _classes((0b110, 0b011, 0b100), 0b111, ~0b010) == {0b100: 0b101, 0b001: 0b010}
 
 
 class TestLocalComplement:
