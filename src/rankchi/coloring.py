@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from itertools import count, islice, zip_longest
 
 from .cuts import column_classes, nested_cut_rows
-from .decomposition import Decomposition, RootedView, _table_rank, _view, decomposition_rank
+from .decomposition import (Decomposition, RootedView, _outside_classes, _table_rank, _view,
+                            decomposition_rank)
 from .errors import ContractError, InputError
-from .graph import (Graph, _classes, _components, _unwind, bitset, connected_components, iter_bits,
-                    one_join)
+from .graph import (Graph, _classes, _components, _renumber, _unwind, bitset, connected_components,
+                    iter_bits, one_join)
 from .oracles import (Coloring, _max_clique_size, chromatic_number, clique_number,
                       greedy_coloring, is_proper)
 
@@ -110,7 +111,7 @@ def _piece_quotient(
     ordered = sorted(groups.items(), key=lambda item: item[1] & -item[1])
     bit = {part & -part: 1 << i for i, (_, part) in enumerate(ordered)}  # smallest member -> bit
     reps = sum(bit)  # distinct single bits, so their union
-    qadj = []
+    qadj = []  # graph._renumber's loop keyed by bit, inline: this is the key lemma's hot path
     for row, _ in ordered:
         row &= reps
         q = 0
@@ -178,14 +179,14 @@ def _key_lemma(
         raise InputError("piece color budget k must be at least 1")
     view = _view(g, dec)
     pre, own = view.pre, view.own
-    # refused past d classes on a side before any vertex is colored; the diversity is
-    # measured on the cuts with both sides nonempty
+    # refused at the first cut past d classes on a side, before any vertex is colored
     cuts, diversity = {}, 1
     for v, below, rest, rows in nested_cut_rows(g, s, view) if table is None else table:
-        cols = column_classes(rows, rest, d)
+        cols, measured = column_classes(rows, rest)
+        if measured > d:
+            raise ContractError(f"decomposition diversity exceeds budget {d}")
         cuts[v] = rows, cols, below
-        if cols:
-            diversity = max(diversity, len(rows), len(cols))
+        diversity = max(diversity, measured)
 
     palette_cap = diversity * (k + 1)
     masks: list[int] = []
@@ -212,16 +213,15 @@ def _key_lemma(
             psi1 = [0] * qcol.palette_size
             for part, a in zip(members, qcol.colors):
                 psi1[a - 1] |= part
-            # psi2[j - 1]: the vertices of w_mask in outside class j, the j-th nonzero
-            # row in order, of the child holding them, of which a child's cut has at
-            # most diversity; class 1 also takes v's own
-            psi2 = [w_mask & own[v]] + [0] * (diversity - 1)
+            # psi2[j]: the vertices of w_mask in outside class j of the child holding them,
+            # of which a child's cut has at most diversity past class zero, which must stay
+            # empty; class 1 also takes v's own
+            psi2 = [0, w_mask & own[v]] + [0] * (diversity - 1)
             for c in cuts[v][2]:
-                rows = cuts[c][0]
-                if rows.get(0, 0) & w_mask:
-                    raise ContractError("piece-active vertex landed in class zero of a child")
-                for j, row in enumerate(sorted(filter(None, rows)), 1):
-                    psi2[j - 1] |= rows[row] & w_mask
+                for j, part in enumerate(_outside_classes(cuts[c][0])):
+                    psi2[j] |= part & w_mask
+            if psi2[0]:
+                raise ContractError("piece-active vertex landed in class zero of a child")
             # one fresh class per pair (a, j) that meets, in the pairs' sorted order
             fresh = [part for one in psi1 for two in psi2 if (part := one & two)]
             used_on_vv = {c for c, mask in enumerate(masks, 1) if mask & pre[v]}
@@ -435,9 +435,10 @@ def one_join_compose(
     ids = _vertex_ids(jt)
     n = len(ids) - 2 * len(jt.joins)
     adj = [0] * len(ids)
-    for (i, u), k in ids.items():
-        for w in iter_bits(jt.pieces[i].adj[u]):
-            adj[k] |= 1 << ids[(i, w)]
+    for i, piece in enumerate(jt.pieces):
+        new = [ids[(i, u)] for u in range(piece.n)]
+        for k, row in zip(new, _renumber(piece.adj, new)):
+            adj[k] = row
     for e in jt.joins:
         a, b = ids[(e.left, e.left_marker)], ids[(e.right, e.right_marker)]
         na, nb, bit_a, bit_b = adj[a], adj[b], 1 << a, 1 << b
@@ -463,45 +464,25 @@ def one_join_compose(
 
 
 def compose_sequential(jt: JoinTree, edge_order: list[JoinEdge]) -> Graph:
-    """Oracle route: apply pairwise 1-joins in the given order.
+    """Oracle route: apply pairwise 1-joins in the given order, a permutation of jt.joins.
 
     Returns the composed graph relabeled to the same global ids that
     one_join_compose assigns, so results are directly comparable.
     """
-    vmap = _vertex_ids(jt)
+    if len(edge_order) != len(jt.joins) or set(edge_order) != set(jt.joins):
+        raise InputError("edge order must be a permutation of the join tree's joins")
     comp_of = list(range(len(jt.pieces)))
-    graphs: dict[int, Graph] = dict(enumerate(jt.pieces))
-    labels: dict[int, list[tuple[int, int]]] = {
-        i: [(i, u) for u in range(p.n)] for i, p in enumerate(jt.pieces)
-    }
+    # component -> its graph and the (piece, vertex) label of each of its vertices
+    comps = {i: (p, [(i, u) for u in range(p.n)]) for i, p in enumerate(jt.pieces)}
     for e in edge_order:
         ca, cb = comp_of[e.left], comp_of[e.right]
-        ga, gb = graphs[ca], graphs[cb]
-        la, lb = labels[ca], labels[cb]
-        va = la.index((e.left, e.left_marker))
-        vb = lb.index((e.right, e.right_marker))
-        joined, map_a, map_b = one_join(ga, va, gb, vb)
-        merged: list[tuple[int, int]] = [(-1, -1)] * joined.n
-        for old, new in map_a.items():
-            merged[new] = la[old]
-        for old, new in map_b.items():
-            merged[new] = lb[old]
-        graphs[ca] = joined
-        labels[ca] = merged
-        for i, c in enumerate(comp_of):
-            if c == cb:
-                comp_of[i] = ca
-        del graphs[cb], labels[cb]
-
-    (final,) = graphs.values()
-    (final_labels,) = labels.values()
-    perm = [0] * final.n
-    for pos, label in enumerate(final_labels):
-        perm[pos] = vmap[label]
-    adj = [0] * final.n
-    for pos in range(final.n):
-        row = 0
-        for q in iter_bits(final.adj[pos]):
-            row |= 1 << perm[q]
-        adj[perm[pos]] = row
-    return Graph(final.n, tuple(adj))
+        (ga, la), (gb, lb) = comps[ca], comps.pop(cb)
+        va, vb = la.index((e.left, e.left_marker)), lb.index((e.right, e.right_marker))
+        # one_join keeps each side's order, ga's first, so the labels join by slicing
+        comps[ca] = one_join(ga, va, gb, vb)[0], la[:va] + la[va + 1:] + lb[:vb] + lb[vb + 1:]
+        comp_of = [ca if c == cb else c for c in comp_of]
+    ((final, labels),) = comps.values()
+    vmap = _vertex_ids(jt)
+    new = [vmap[label] for label in labels]  # vertex i of final is vertex new[i]
+    rows = (final.adj[i] for i in sorted(range(final.n), key=new.__getitem__))
+    return Graph(final.n, _renumber(rows, new))

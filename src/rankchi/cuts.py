@@ -9,8 +9,10 @@ one pruned descent from the lowest node whose subtree holds the whole set, so th
 chain of nodes above it, which keeps nothing, is never read.  It merges each cut's row
 classes from the cuts just below it on the way back up, and column_classes refines the
 other side by them, so a cut costs its classes, not its side.  column_classes is the
-one reader of a cut's columns: the diversity of a single cut, of a CutMatrix and of a
-decomposition all count them through it, and graph._classes groups every cut's rows."""
+one reader of a cut's columns and the one count of a cut's diversity: a single cut's,
+a CutMatrix's, a decomposition's and the key lemma's budget check all read it there.
+graph._classes groups every cut's rows, graph._renumber renumbers a CutMatrix's
+columns, and _other_side is the one check of a cut side given against a graph."""
 
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ContractError, InputError
-from .graph import Graph, _classes, iter_bits
+from .errors import InputError
+from .graph import Graph, _classes, _renumber, iter_bits
 
 if TYPE_CHECKING:
     from .decomposition import RootedView
@@ -34,20 +36,19 @@ class CutMatrix:
     col_index: tuple[int, ...]
 
 
-def cut_matrix(g: Graph, w: int) -> CutMatrix:
-    """Matrix of the cut (w, V(g)\\w); empty when either side is empty."""
+def _other_side(g: Graph, w: int) -> int:
+    """V(g) - w; raises InputError unless w lies inside V(g): the one check of a cut side."""
     if w & ~g.vertex_mask:
         raise InputError("cut side contains vertices outside the graph")
-    row_index = tuple(iter_bits(w))
-    col_index = tuple(iter_bits(g.vertex_mask & ~w))
+    return g.vertex_mask & ~w
+
+
+def cut_matrix(g: Graph, w: int) -> CutMatrix:
+    """Matrix of the cut (w, V(g)\\w); empty when either side is empty."""
+    other = _other_side(g, w)
+    row_index, col_index = tuple(iter_bits(w)), tuple(iter_bits(other))
     colpos = {v: i for i, v in enumerate(col_index)}
-    rows = []
-    for u in row_index:
-        r = 0
-        for v in iter_bits(g.adj[u] & ~w):
-            r |= 1 << colpos[v]
-        rows.append(r)
-    return CutMatrix(tuple(rows), row_index, col_index)
+    return CutMatrix(_renumber((g.adj[u] & other for u in row_index), colpos), row_index, col_index)
 
 
 def _rank(table: Sequence[int], side: int, cols: int) -> int:
@@ -82,30 +83,21 @@ def cut_rank(m: CutMatrix) -> int:
 
 def cut_diversity(m: CutMatrix) -> int:
     """max(#distinct rows, #distinct columns); 0 for an empty matrix."""
-    if not m.rows or not m.col_index:
-        return 0
     rows = _classes(m.rows, (1 << len(m.rows)) - 1, -1)
-    cols = column_classes(rows, (1 << len(m.col_index)) - 1, len(m.rows) + len(m.col_index))
-    return max(len(rows), len(cols))
+    return column_classes(rows, (1 << len(m.col_index)) - 1)[1]
 
 
 def cut_rank_of(g: Graph, w: int) -> int:
     """Rank of the cut (w, rest) by the one elimination (_rank), its rows read off the
     adjacency on the smaller side (a matrix and its transpose have one rank)."""
-    if w & ~g.vertex_mask:
-        raise InputError("cut side contains vertices outside the graph")
-    other = g.vertex_mask & ~w  # all rows are zero when a side is empty
+    other = _other_side(g, w)  # all rows are zero when a side is empty
     return _rank(g.adj, w, other) if w.bit_count() <= other.bit_count() else _rank(g.adj, other, w)
 
 
 def cut_diversity_of(g: Graph, w: int) -> int:
     """max(#distinct rows, #distinct columns) of the cut (w, rest); 0 if a side is empty."""
-    if w & ~g.vertex_mask:
-        raise InputError("cut side contains vertices outside the graph")
-    rest = g.vertex_mask & ~w
-    rows = _classes(g.adj, w, rest)
-    cols = column_classes(rows, rest, g.n)
-    return max(len(rows), len(cols)) if rows and cols else 0
+    rest = _other_side(g, w)
+    return column_classes(_classes(g.adj, w, rest), rest)[1]
 
 
 def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, tuple, int, dict]]:
@@ -148,19 +140,18 @@ def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, t
             below[up] = nodes
 
 
-def column_classes(rows: dict[int, int], rest: int, limit: int) -> dict[int, int]:
+def column_classes(rows: dict[int, int], rest: int) -> tuple[dict[int, int], int]:
     """The columns of the cut with these rows and other side rest, grouped as
     nested_cut_rows groups rows: rest refined by each row, an atom keyed by the union of
-    the parts whose rows hold it.  Raises ContractError past limit classes on a side."""
+    the parts whose rows hold it.  Also the cut's diversity, the larger of the two class
+    counts, or 0 when a side is empty: the one count every diversity reads."""
     cols = {0: rest} if rest else {}
     for row, part in rows.items():
         split: dict[int, int] = {}
         for key, atom in cols.items():
-            if atom & row:
-                split[key | part] = atom & row
-            if atom & ~row:
-                split[key] = atom & ~row
+            if inside := atom & row:
+                split[key | part] = inside
+            if outside := atom ^ inside:
+                split[key] = outside
         cols = split
-        if max(len(rows), len(cols)) > limit:
-            raise ContractError(f"decomposition diversity exceeds budget {limit}")
-    return cols
+    return cols, max(len(rows), len(cols)) if rows and cols else 0

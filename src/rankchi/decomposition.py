@@ -35,7 +35,7 @@ from .graph import Graph, _classes, induced_subgraph, iter_bits
 @dataclass(frozen=True)
 class RootedView:
     """The rooted tree, parent -1 at the root and children by the lowest vertex mapped
-    below them (none first), so node x has degree len(children[x]) + (parent[x] >= 0).
+    below them (none first).
 
     tau is the decomposition's, pre[x] the bitset of vertices mapped into the subtree
     at x and own[x] those mapped to x.  A vertex set s is read off the same view, as
@@ -47,6 +47,10 @@ class RootedView:
     tau: tuple[int, ...]
     pre: tuple[int, ...]
     own: tuple[int, ...]
+
+    def degree(self, x: int) -> int:
+        """The number of tree edges at node x: its children and, but at the root, its parent."""
+        return len(self.children[x]) + (self.parent[x] >= 0)
 
 
 def _root_tree(
@@ -163,8 +167,7 @@ def decomposition_rank(g: Graph, d: Decomposition) -> int:
 def decomposition_diversity(g: Graph, d: Decomposition) -> int:
     """Max over tree edges of the cut's max(#distinct rows, #distinct columns)."""
     cuts = nested_cut_rows(g, g.vertex_mask, _view(g, d))
-    return max((max(len(rows), len(column_classes(rows, rest, g.n)))
-                for _, _, rest, rows in cuts if rest), default=0)
+    return max((column_classes(rows, rest)[1] for _, _, rest, rows in cuts), default=0)
 
 
 def piece_graph(g: Graph, d: Decomposition, v: int) -> Graph:
@@ -227,8 +230,14 @@ def outside_partition(g: Graph, d: Decomposition, v: int) -> list[int]:
         raise InputError(f"node {v} out of range")
     if v == d.root:
         raise InputError("outside partition is undefined at the root")
-    rows = _classes(g.adj, view.pre[v], ~view.pre[v])
-    return [rows.pop(0, 0)] + [rows[row] for row in sorted(rows)]
+    return _outside_classes(_classes(g.adj, view.pre[v], ~view.pre[v]))
+
+
+def _outside_classes(rows: dict[int, int]) -> list[int]:
+    """The classes of a cut's rows (row -> vertices), class zero, possibly empty, first
+    and then the others by row: the one order of outside classes."""
+    ordered = map(rows.__getitem__, sorted(rows))
+    return [*ordered] if 0 in rows else [0, *ordered]
 
 
 def restrict(g: Graph, d: Decomposition, s: int) -> tuple[Graph, Decomposition, dict[int, int]]:
@@ -248,8 +257,7 @@ def root_normalize(d: Decomposition) -> Decomposition:
     if d.root is not None:
         return d
     view, fresh = d.view, d.num_nodes
-    root = next((v for v in range(fresh)
-                 if len(view.children[v]) + (view.parent[v] >= 0) <= 1 and not view.own[v]), fresh)
+    root = next((v for v in range(fresh) if view.degree(v) <= 1 and not view.own[v]), fresh)
     edges = d.tree_edges if root < fresh else d.tree_edges + ((0, fresh),)
     return Decomposition(len(edges) + 1, edges, d.tau, root)
 
@@ -265,7 +273,7 @@ def star_decomposition(g: Graph) -> Decomposition:
 
 def validate_rank_decomposition(g: Graph, d: Decomposition) -> RankDecomposition:
     """Check the cubic-tree/leaf-bijection shape and report the width."""
-    degree = [len(nodes) + (up >= 0) for nodes, up in zip(d.view.children, d.view.parent)]
+    degree = list(map(d.view.degree, range(d.num_nodes)))
     leaves = {v for v in range(d.num_nodes) if degree[v] <= 1}
     for v in range(d.num_nodes):
         if v not in leaves and degree[v] != 3:

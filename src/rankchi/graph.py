@@ -143,19 +143,26 @@ def _components(adj: tuple[int, ...], s: int) -> list[int]:
     return comps
 
 
+def _renumber(rows: Iterable[int], new: Sequence[int] | dict[int, int]) -> tuple[int, ...]:
+    """Each row with every member u replaced by new[u], one shift per bit: the one
+    renumbering of bitset rows."""
+    out = []
+    for row in rows:
+        r = 0
+        while row:
+            low = row & -row
+            r |= 1 << new[low.bit_length() - 1]
+            row ^= low
+        out.append(r)
+    return tuple(out)
+
+
 def induced_subgraph(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on vertex set s, with the old->new id remapping."""
     if s & ~g.vertex_mask:
         raise InputError("vertex set contains ids outside the graph")
-    old = list(iter_bits(s))
-    remap = {u: i for i, u in enumerate(old)}
-    adj = []
-    for u in old:
-        row = 0
-        for w in iter_bits(g.adj[u] & s):
-            row |= 1 << remap[w]
-        adj.append(row)
-    return Graph(len(old), tuple(adj)), remap
+    remap = {u: i for i, u in enumerate(iter_bits(s))}
+    return Graph(len(remap), _renumber((g.adj[u] & s for u in remap), remap)), remap
 
 
 def twin_classes(g: Graph) -> list[int]:
@@ -185,29 +192,20 @@ def one_join(
 
     Both markers are deleted; every neighbor of v1 becomes adjacent to every
     neighbor of v2.  Returns the joined graph plus the id remappings of the
-    surviving vertices of g1 and g2.
+    surviving vertices of g1 and g2, which keep each side's order, g1's first.
     """
     if not 0 <= v1 < g1.n:
         raise InputError(f"vertex {v1} out of range in first graph")
     if not 0 <= v2 < g2.n:
         raise InputError(f"vertex {v2} out of range in second graph")
-    keep1 = [u for u in range(g1.n) if u != v1]
-    keep2 = [u for u in range(g2.n) if u != v2]
-    map1 = {u: i for i, u in enumerate(keep1)}
-    map2 = {u: len(keep1) + i for i, u in enumerate(keep2)}
-    n = len(keep1) + len(keep2)
-    adj = [0] * n
-    for u in keep1:
-        for w in iter_bits(g1.adj[u] & ~(1 << v1)):
-            adj[map1[u]] |= 1 << map1[w]
-    for u in keep2:
-        for w in iter_bits(g2.adj[u] & ~(1 << v2)):
-            adj[map2[u]] |= 1 << map2[w]
-    for u in iter_bits(g1.adj[v1]):
-        for w in iter_bits(g2.adj[v2]):
-            adj[map1[u]] |= 1 << map2[w]
-            adj[map2[w]] |= 1 << map1[u]
-    return Graph(n, tuple(adj)), map1, map2
+    map1 = {u: u - (u > v1) for u in range(g1.n) if u != v1}
+    map2 = {u: g1.n - 1 + u - (u > v2) for u in range(g2.n) if u != v2}
+    rows1 = _renumber((row & ~(1 << v1) for row in g1.adj), map1)
+    rows2 = _renumber((row & ~(1 << v2) for row in g2.adj), map2)
+    # a neighbor of one marker gains the other marker's neighbors, its row at the marker
+    adj = [rows1[u] | (rows2[v2] if g1.adj[u] >> v1 & 1 else 0) for u in map1]
+    adj += [rows2[w] | (rows1[v1] if g2.adj[w] >> v2 & 1 else 0) for w in map2]
+    return Graph(len(adj), tuple(adj)), map1, map2
 
 
 def blow_up(g: Graph, v: int, t: int) -> tuple[Graph, tuple[int, ...]]:

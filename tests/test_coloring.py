@@ -56,6 +56,8 @@ from helpers import (
     full_step_check,
     naive_color_bound,
     naive_cut_classes,
+    naive_cut_diversity,
+    naive_edge_cut,
     naive_kept_nodes,
     random_vertex_subset,
 )
@@ -246,6 +248,30 @@ class TestKeyLemma:
         assert calls == []
         col = key_lemma_coloring(g, d, oracle, 3, 3, check=True)
         assert no_max_clique_monochromatic(g, col) and "oracle" in calls
+
+    def test_the_measured_diversity_is_the_refusal_threshold(self):
+        """With k = n, so that no piece coloring is refused, key_lemma_coloring colors at
+        d = D, the largest count of distinct rows or columns among the 0/1 matrices of
+        the tree edges' cuts, and refuses at d = D - 1 whenever that is at least 1.
+        Among the cases are ones where only a cut's columns reach D."""
+        rng = random.Random(29)
+        refused = columns_decide = 0
+        for _ in range(400):
+            g = random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.8))
+            d = random_decomposition(rng, g, rng.randint(2, 8))
+            sides = [naive_edge_cut(g, d, e)[0] for e in d.tree_edges]
+            top = max((naive_cut_diversity(g, side) for side in sides), default=0)
+            col = key_lemma_coloring(g, d, exact_node_oracle, max(top, 1), g.n)
+            assert no_max_clique_monochromatic(g, col)
+            if top < 2:
+                continue
+            with pytest.raises(ContractError,
+                               match=f"^decomposition diversity exceeds budget {top - 1}$"):
+                key_lemma_coloring(g, d, exact_node_oracle, top - 1, g.n)
+            refused += 1
+            most_rows = max(len(naive_cut_classes(g, side)[0]) for side in sides if side)
+            columns_decide += most_rows < top
+        assert refused > 300 and columns_decide > 20
 
     @pytest.mark.parametrize("d, k, error, message", [
         (0, 2, InputError, "diversity budget d must be at least 1"),
@@ -1024,6 +1050,18 @@ class TestJoinTree:
                       tuple(JoinEdge(i, i + 1, 1, 0) for i in range(pieces - 1)))
         composed, _, _ = one_join_compose(jt, check=True)
         assert compose_sequential(jt, list(jt.joins)) == composed
+
+    def test_an_edge_order_not_a_permutation_of_the_joins_is_refused(self):
+        """Dropping a join, repeating one, giving none or giving one the tree does not
+        have is refused as input before any join is applied."""
+        jt = random_join_tree(random.Random(1), 5)
+        joins = list(jt.joins)
+        stranger = JoinEdge(1, 2, 0, 1)
+        for order in (joins[1:], joins + joins[:1], joins[:-1] + joins[:1], [],
+                      joins[:-1] + [stranger]):
+            with pytest.raises(InputError,
+                               match="^edge order must be a permutation of the join tree's joins$"):
+                compose_sequential(jt, order)
 
     def test_composed_coloring_proper(self):
         rng = random.Random(4)

@@ -85,6 +85,18 @@ class TestStructure:
             Decomposition(3, ((0, 1), (1, 2)), (0, 2), root=1)
 
 
+    def test_degree_counts_the_tree_edges_at_a_node(self):
+        """RootedView.degree against the edges listed at each node, on random trees
+        rooted at an empty leaf, viewed from node 0 when unrooted, and normalized."""
+        rng = random.Random(29)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(0, 9))
+            d = random_tree_decomposition(rng, g)
+            for dec in (d, replace(d, root=None), root_normalize(d)):
+                expected = [len(nodes) for nodes in tree_adjacency(dec)]
+                assert [dec.view.degree(x) for x in range(dec.num_nodes)] == expected
+
+
 def three_node_path():
     """P_3 and the tree 0-1-2 rooted at the empty leaf 0; tau_for(n) maps n vertices
     alternately to nodes 1 and 2."""
@@ -599,7 +611,7 @@ def assert_cut_rows_match_restriction(g, dec, s):
         while x != -1 and kept[x] != x:
             x = parent[x]
         assert x == -1 or position[v] < position[x]
-        merged[v] = rows, column_classes(rows, rest, g.n + 1)
+        merged[v] = rows, column_classes(rows, rest)[0]
     for v, below in kept.items():
         assert pre[v] == pre[below]  # so a pass-through node repeats the cut below it
     for v in merged:
@@ -662,7 +674,7 @@ class TestRootedViewAgainstOracles:
             h, sub, _ = restrict(g, d, random_vertex_subset(rng, g.n))
             for graph, dec in ((g, root_normalize(d)), (h, root_normalize(sub))):
                 view = dec.view
-                cuts = {v: (rows, column_classes(rows, rest, graph.n + 1), below)
+                cuts = {v: (rows, column_classes(rows, rest)[0], below)
                         for v, below, rest, rows in nested_cut_rows(graph, graph.vertex_mask, view)}
                 for v in (v for v in range(dec.num_nodes) if v != dec.root and view.pre[v]):
                     piece = piece_graph(graph, dec, v)

@@ -245,9 +245,9 @@ class TestCutClasses:
             d = Decomposition(2, ((0, 1),), tuple(w >> v & 1 for v in range(n)))
             merged = {v: rows for v, *_, rows in nested_cut_rows(g, g.vertex_mask, d.view)}
             rows = merged.get(1, {})  # node 1 holds w, and is not in the view when w is empty
-            cols = column_classes(rows, g.vertex_mask & ~w, n + 1)
+            cols, diversity = column_classes(rows, g.vertex_mask & ~w)
             assert (rows, cols) == naive_cut_classes(g, w)
-            assert cut_diversity_of(g, w) == naive_cut_diversity(g, w)
+            assert cut_diversity_of(g, w) == diversity == naive_cut_diversity(g, w)
 
     def test_side_outside_the_graph(self):
         for reader in (cut_diversity_of, cut_rank_of):

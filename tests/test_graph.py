@@ -24,7 +24,7 @@ from rankchi import (
     wheel,
 )
 from rankchi.generate import random_graph
-from rankchi.graph import _classes
+from rankchi.graph import _classes, _renumber
 
 from helpers import naive_classes
 
@@ -187,6 +187,31 @@ class TestOneJoin:
             a, _, _ = one_join(g1, v1, g2, v2)
             b, _, _ = one_join(g2, v2, g1, v1)
             assert are_isomorphic(a, b)
+
+
+class TestRenumber:
+    def test_against_per_bit_renumbering(self):
+        """Random rows renumbered through random one-to-one maps, given as a list or
+        as a dict, against each member looked up and set on its own; empty rows, no
+        rows and an empty map included."""
+        rng = random.Random(29)
+        cases = [((), []), ((), {}), ((0,), {}), ((0, 0), [])]
+        for _ in range(300):
+            n = rng.randint(0, 20)
+            new = rng.sample(range(n + rng.randint(0, 20)), n)
+            rows = tuple(rng.randrange(1 << n) if n and rng.random() < 0.8 else 0
+                         for _ in range(rng.randint(0, 8)))
+            cases.append((rows, new if rng.random() < 0.5 else dict(enumerate(new))))
+        for rows, new in cases:
+            expected = []
+            for row in rows:
+                renumbered = 0
+                for u in range(row.bit_length()):
+                    if row >> u & 1:
+                        renumbered |= 1 << new[u]
+                expected.append(renumbered)
+            assert _renumber(rows, new) == tuple(expected)
+            assert _renumber(iter(rows), new) == tuple(expected)
 
 
 class TestBlowUp:
