@@ -186,14 +186,16 @@ def _key_lemma(
         if measured > d:
             raise ContractError(f"decomposition diversity exceeds budget {d}")
         cuts[v] = rows, cols, below
-        diversity = max(diversity, measured)
+        if measured > diversity:
+            diversity = measured
 
     palette_cap = diversity * (k + 1)
     masks: list[int] = []
     colored_mask = 0
 
-    for v in reversed(cuts):  # BFS order: each kept node after the kept node above it
-        zero = cuts[v][0].get(0, 0)  # class zero: no neighbor outside V_v
+    # BFS order: each kept node after the kept node above it
+    for v, (rows, _, kept) in reversed(cuts.items()):
+        zero = rows.get(0, 0)  # class zero: no neighbor outside V_v
         if check and pre[v] & s & ~colored_mask != zero:
             raise ContractError("uncolored subtree vertices differ from class zero")
 
@@ -207,24 +209,28 @@ def _key_lemma(
                 if len(qcol.colors) != quotient.n or not is_proper(quotient, qcol):
                     raise ContractError("piece oracle returned an improper coloring")
                 answers[quotient.adj] = qcol
-            if qcol.palette_size > k:
-                raise ContractError(f"piece oracle used {qcol.palette_size} colors, budget {k}")
+            palette = qcol.palette_size
+            if palette > k:
+                raise ContractError(f"piece oracle used {palette} colors, budget {k}")
             # psi1[a - 1]: the piece vertices of color a, a union of twin classes
-            psi1 = [0] * qcol.palette_size
+            psi1 = [0] * palette
             for part, a in zip(members, qcol.colors):
                 psi1[a - 1] |= part
             # psi2[j]: the vertices of w_mask in outside class j of the child holding them,
             # of which a child's cut has at most diversity past class zero, which must stay
             # empty; class 1 also takes v's own
             psi2 = [0, w_mask & own[v]] + [0] * (diversity - 1)
-            for c in cuts[v][2]:
+            for c in kept:
                 for j, part in enumerate(_outside_classes(cuts[c][0])):
                     psi2[j] |= part & w_mask
             if psi2[0]:
                 raise ContractError("piece-active vertex landed in class zero of a child")
             # one fresh class per pair (a, j) that meets, in the pairs' sorted order
             fresh = [part for one in psi1 for two in psi2 if (part := one & two)]
-            used_on_vv = {c for c, mask in enumerate(masks, 1) if mask & pre[v]}
+            # every mask lies in colored_mask: no color is on V_v while colored_vv is 0
+            colored_vv = pre[v] & colored_mask
+            used_on_vv = ({c for c, mask in enumerate(masks, 1) if mask & colored_vv}
+                          if colored_vv else set())
             left = palette_cap - len(used_on_vv)
             if len(fresh) > left:
                 raise ContractError(f"{len(fresh)} fresh color classes but only {left} colors left")
@@ -351,12 +357,12 @@ def _color_recursive(
     budget = 1 << min(bound.rank_budget, g.n.bit_length())
 
     def color(s: int, claim: int) -> Generator:
-        isolated, left = 0, s
+        seen, left = 0, s  # the vertices with a neighbor in s, by symmetry of adj
         while left:
             low = left & -left
-            if not adj[low.bit_length() - 1] & s:
-                isolated |= low
+            seen |= adj[low.bit_length() - 1]
             left ^= low
+        isolated = s & ~seen
         masks = [isolated] if isolated else []
         for comp in _components(adj, s & ~isolated):
             if claim < 2 or check and _max_clique_size(adj, comp, claim) > claim:

@@ -101,15 +101,15 @@ def cut_diversity_of(g: Graph, w: int) -> int:
 
 
 def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, tuple, int, dict]]:
-    """For each kept node v of the vertex set s, in reverse BFS order: v, the kept nodes
-    nearest below v (last first), rest = s - pre[v] and the rows of the cut
+    """For each kept node v of the vertex set s, in reverse BFS order: v, the tuple of
+    kept nodes nearest below v (last first), rest = s - pre[v] and the rows of the cut
     (pre[v] & s, rest) of g[s], each distinct row mapped to the vertices having it.
     The descent starts at the lowest node whose pre holds all of s, reached by climbing
     from tau of the lowest vertex of s; every node above it passes through, so none is
     read.  It enters a child only when its pre meets s.  Back up, a node with no vertex
     of s of its own and one such child passes through, repeating its cut; every other
     node is kept, its rows those of the kept nodes nearest below cut down to rest plus
-    those of its own vertices in s."""
+    those of its own vertices in s, which are grouped only when it has some."""
     children, parent, pre, own, adj = view.children, view.parent, view.pre, view.own, g.adj
     order = []  # the nodes whose subtree meets s, from the lowest one holding s, in BFS order
     if s:
@@ -132,8 +132,8 @@ def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, t
                 for row, part in rows_of.pop(c).items():
                     row &= rest
                     rows[row] = rows.get(row, 0) | part
-            yield x, tuple(nodes), rest, _classes(adj, mine, rest, rows)
-            nodes = [x]
+            yield x, nodes, rest, _classes(adj, mine, rest, rows) if mine else rows
+            nodes = (x,)
         if (up := parent[x]) in below:  # the root's parent, -1, is never read
             below[up] += nodes
         else:
@@ -142,11 +142,14 @@ def nested_cut_rows(g: Graph, s: int, view: RootedView) -> Iterator[tuple[int, t
 
 def column_classes(rows: dict[int, int], rest: int) -> tuple[dict[int, int], int]:
     """The columns of the cut with these rows and other side rest, grouped as
-    nested_cut_rows groups rows: rest refined by each row, an atom keyed by the union of
-    the parts whose rows hold it.  Also the cut's diversity, the larger of the two class
-    counts, or 0 when a side is empty: the one count every diversity reads."""
+    nested_cut_rows groups rows: rest refined by each nonzero row (the zero row splits no
+    atom), an atom keyed by the union of the parts whose rows hold it.  Also the cut's
+    diversity, the larger of the two class counts, or 0 when a side is empty: the one
+    count every diversity reads."""
     cols = {0: rest} if rest else {}
     for row, part in rows.items():
+        if not row:
+            continue
         split: dict[int, int] = {}
         for key, atom in cols.items():
             if inside := atom & row:

@@ -205,7 +205,9 @@ def one_join(
     # a neighbor of one marker gains the other marker's neighbors, its row at the marker
     adj = [rows1[u] | (rows2[v2] if g1.adj[u] >> v1 & 1 else 0) for u in map1]
     adj += [rows2[w] | (rows1[v1] if g2.adj[w] >> v2 & 1 else 0) for w in map2]
-    return Graph(len(adj), tuple(adj)), map1, map2
+    # each side's rows are symmetric and loop-free, and each new edge joins a neighbor of
+    # v1 to a neighbor of v2 in both rows, so the result needs no validation
+    return Graph._trusted(len(adj), tuple(adj)), map1, map2
 
 
 def blow_up(g: Graph, v: int, t: int) -> tuple[Graph, tuple[int, ...]]:

@@ -188,6 +188,28 @@ class TestOneJoin:
             b, _, _ = one_join(g2, v2, g1, v1)
             assert are_isomorphic(a, b)
 
+    def test_against_the_definition(self):
+        """Random pairs, one-vertex graphs and edgeless ones included: two survivors are
+        adjacent iff they were adjacent before, or one saw v1 and the other v2, and the
+        output passes Graph's own validation."""
+        rng = random.Random(30)
+        for _ in range(400):
+            g1 = random_graph(rng, rng.randint(1, 7), rng.random())
+            g2 = random_graph(rng, rng.randint(1, 7), rng.random())
+            v1, v2 = rng.randrange(g1.n), rng.randrange(g2.n)
+            out, m1, m2 = one_join(g1, v1, g2, v2)
+            assert Graph(out.n, out.adj) == out
+            assert out.n == g1.n + g2.n - 2
+            old = [(1, u) for u in m1] + [(2, w) for w in m2]
+            new = [m1[u] for u in m1] + [m2[w] for w in m2]
+            assert sorted(new) == list(range(out.n))
+            graph, marker = {1: g1, 2: g2}, {1: v1, 2: v2}
+            for (i, a), x in zip(old, new):
+                for (j, b), y in zip(old, new):
+                    sees = graph[i].has_edge(a, marker[i]) and graph[j].has_edge(b, marker[j])
+                    expect = graph[i].has_edge(a, b) if i == j else sees
+                    assert out.has_edge(x, y) == expect
+
 
 class TestRenumber:
     def test_against_per_bit_renumbering(self):
